@@ -10,17 +10,21 @@
 //!
 //! Environment knob: `ABL_MEASURE_SECS` (default 5).
 
-use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use depfast::event::{QuorumEvent, QuorumMode, Watchable};
 use depfast::runtime::Runtime;
 use depfast_bench::baseline::{RunRecord, Suite};
-use depfast_bench::Table;
+use depfast_bench::experiment::bench_raft_cfg;
+use depfast_bench::{run, RunCfg, Table};
+use depfast_fault::FaultKind;
+use depfast_raft::cluster::RaftKind;
+use depfast_raft::core::RaftCfg;
 use depfast_rpc::broadcast::broadcast;
 use depfast_rpc::endpoint::{Endpoint, Registry, RpcCfg};
 use depfast_rpc::{BufferPolicy, OnFull};
+use depfast_storage::LogStoreCfg;
 use simkit::{NodeId, Sim, World, WorldCfg};
 
 const ECHO: u32 = 1;
@@ -183,10 +187,6 @@ fn ablation_buffers() {
 }
 
 fn ablation_entrycache(suite: &mut Suite) {
-    use depfast_bench::{run_experiment, ExperimentCfg, FaultTarget};
-    use depfast_fault::FaultKind;
-    use depfast_raft::cluster::RaftKind;
-
     let measure = std::env::var("ABL_MEASURE_SECS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -200,35 +200,39 @@ fn ablation_entrycache(suite: &mut Suite) {
             "Ratio",
         ],
     );
-    // The cache size is part of bench_raft_cfg; sweep via its override. A
-    // +400 ms follower lags ~1 MiB of entries at this throughput, so the
-    // sweep brackets that point: small caches put big evicted-entry reads
-    // on the region thread every round, large caches absorb the lag.
+    // The cache size is part of bench_raft_cfg; sweep it. A +400 ms
+    // follower lags ~1 MiB of entries at this throughput, so the sweep
+    // brackets that point: small caches put big evicted-entry reads on
+    // the region thread every round, large caches absorb the lag.
     for cache_kib in [128u64, 512, 2048, 4096, 16384] {
-        let make = |fault| {
-            let cfg = ExperimentCfg {
-                kind: RaftKind::Sync,
-                // Enough concurrency that the region thread (not client
-                // supply) is the bottleneck — the fig1 operating point.
-                n_clients: 256,
-                warmup: Duration::from_secs(1),
-                measure: Duration::from_secs(measure),
-                records: 100_000,
-                fault,
-                ..ExperimentCfg::default()
-            };
-            run_experiment_with_cache(&cfg, cache_kib * 1024)
+        let cfg = RunCfg {
+            kind: RaftKind::Sync,
+            // Enough concurrency that the region thread (not client
+            // supply) is the bottleneck — the fig1 operating point.
+            clients: 256,
+            warmup: Duration::from_secs(1),
+            measure: Duration::from_secs(measure),
+            records: 100_000,
+            raft: RaftCfg {
+                log: LogStoreCfg {
+                    cache_bytes: cache_kib * 1024,
+                    ..bench_raft_cfg().log
+                },
+                ..bench_raft_cfg()
+            },
+            ..RunCfg::default()
         };
-        let healthy = make(None);
+        let healthy = run(&cfg).stats;
         // Fault follower 1: it is iterated first in the region loop, so
         // its inline evicted-entry read delays the *healthy* follower's
         // send too (stall position matters in single-threaded designs).
-        let slow = make(Some((
-            FaultTarget::Followers(vec![1]),
+        let slow = run(&cfg.with_fault(
+            [1],
             FaultKind::NetSlow {
                 delay: Duration::from_millis(400),
             },
-        )));
+        ))
+        .stats;
         let driver = format!("SyncRaft cache={cache_kib}KiB");
         suite.runs.push(RunRecord::from_stats(
             &driver, "none", "", &healthy, None, None,
@@ -247,54 +251,9 @@ fn ablation_entrycache(suite: &mut Suite) {
             format!("{:.0}", slow.throughput),
             format!("{:.2}", slow.throughput / healthy.throughput),
         ]);
-        let _ = run_experiment; // Canonical entry point (cache override used here).
     }
     t.print();
     let _ = t.write_csv("ablation_entrycache");
-}
-
-/// `run_experiment` with an EntryCache override (used by the cache sweep).
-fn run_experiment_with_cache(
-    cfg: &depfast_bench::ExperimentCfg,
-    cache_bytes: u64,
-) -> depfast_ycsb::driver::RunStats {
-    use depfast_bench::experiment::{bench_raft_cfg, bench_world_cfg};
-    use depfast_kv::KvCluster;
-    use depfast_ycsb::driver::{run_workload, DriverCfg};
-    use depfast_ycsb::workload::WorkloadSpec;
-
-    let sim = Sim::new(cfg.seed);
-    let world = World::new(sim.clone(), bench_world_cfg(cfg.n_servers + cfg.n_clients));
-    let mut raft_cfg = bench_raft_cfg();
-    raft_cfg.log.cache_bytes = cache_bytes;
-    let cluster = Rc::new(KvCluster::build(
-        &sim,
-        &world,
-        cfg.kind,
-        cfg.n_servers,
-        cfg.n_clients,
-        raft_cfg,
-    ));
-    if let Some((depfast_bench::FaultTarget::Followers(ids), kind)) = &cfg.fault {
-        for id in ids {
-            depfast_fault::inject_at(&sim, &world, NodeId(*id), *kind, cfg.warmup / 2, None);
-        }
-    }
-    #[allow(clippy::let_and_return)]
-    let stats = run_workload(
-        &sim,
-        &world,
-        &cluster,
-        WorkloadSpec::update_heavy()
-            .with_records(cfg.records)
-            .with_value_size(cfg.value_size),
-        DriverCfg {
-            warmup: cfg.warmup,
-            measure: cfg.measure,
-            seed: cfg.seed ^ 0x5eed,
-        },
-    );
-    stats
 }
 
 /// The PR-6 tentpole knobs, ablated: batch size cap (1 = per-entry
@@ -308,10 +267,6 @@ fn run_experiment_with_cache(
 /// per-follower append window sheds sends to it instead (visible as
 /// `raft.append.window_skips`).
 fn ablation_batching(suite: &mut Suite) {
-    use depfast_bench::{run_experiment, ExperimentCfg, FaultTarget};
-    use depfast_fault::FaultKind;
-    use depfast_raft::cluster::RaftKind;
-
     let measure = std::env::var("ABL_MEASURE_SECS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -336,28 +291,29 @@ fn ablation_batching(suite: &mut Suite) {
         (64, "200us", Duration::from_micros(200), 4),
     ];
     for (batch_max, window_label, window, depth) in configs {
-        let make = |fault| {
-            run_experiment(&ExperimentCfg {
-                kind: RaftKind::DepFast,
-                n_clients: 256,
-                warmup: Duration::from_secs(1),
-                measure: Duration::from_secs(measure),
-                records: 100_000,
-                fault,
-                batch_max: Some(batch_max),
-                batch_window: Some(window),
-                pipeline_depth: Some(depth),
-                ..ExperimentCfg::default()
-            })
+        let cfg = RunCfg {
+            kind: RaftKind::DepFast,
+            clients: 256,
+            warmup: Duration::from_secs(1),
+            measure: Duration::from_secs(measure),
+            records: 100_000,
+            raft: RaftCfg {
+                batch_max,
+                batch_window: window,
+                pipeline_depth: depth,
+                ..bench_raft_cfg()
+            },
+            ..RunCfg::default()
         };
-        let healthy = make(None);
-        let contended = make(Some((
-            FaultTarget::Followers(vec![1]),
+        let healthy = run(&cfg).stats;
+        let contended = run(&cfg.with_fault(
+            [1],
             FaultKind::DiskContention {
                 write_bytes: 2200 * 1024,
                 period: Duration::from_millis(10),
             },
-        )));
+        ))
+        .stats;
         let driver = format!("DepFastRaft batch={batch_max} window={window_label} depth={depth}");
         suite.runs.push(RunRecord::from_stats(
             &driver, "none", "", &healthy, None, None,
@@ -387,10 +343,6 @@ fn ablation_batching(suite: &mut Suite) {
 /// Chain replication vs quorum replication under a slow *tail* — the
 /// §2.1/§3.3 tradeoff, measured.
 fn ablation_chain_vs_quorum(suite: &mut Suite) {
-    use depfast_bench::{run_experiment_profiled, ExperimentCfg, FaultTarget};
-    use depfast_fault::FaultKind;
-    use depfast_raft::cluster::RaftKind;
-
     let mut t = Table::new(
         "Ablation: chain replication vs quorum under one fail-slow member",
         &[
@@ -403,33 +355,38 @@ fn ablation_chain_vs_quorum(suite: &mut Suite) {
         ],
     );
     for kind in [RaftKind::DepFast, RaftKind::Chain] {
-        let make = |fault| {
-            run_experiment_profiled(&ExperimentCfg {
-                kind,
-                n_clients: 128,
-                warmup: Duration::from_secs(1),
-                measure: Duration::from_secs(4),
-                records: 100_000,
-                fault,
-                ..ExperimentCfg::default()
-            })
+        let cfg = RunCfg {
+            kind,
+            clients: 128,
+            warmup: Duration::from_secs(1),
+            measure: Duration::from_secs(4),
+            records: 100_000,
+            profile: true,
+            ..RunCfg::default()
         };
-        let healthy_run = make(None);
+        let healthy_run = run(&cfg);
         // The slow member is node 2: DepFastRaft's follower, ChainRaft's tail.
-        let slow_run = make(Some((
-            FaultTarget::Followers(vec![2]),
+        let slow_run = run(&cfg.with_fault(
+            [2],
             FaultKind::NetSlow {
                 delay: Duration::from_millis(400),
             },
-        )));
-        suite
-            .runs
-            .push(RunRecord::from_profiled(&healthy_run, "none", "", None));
-        suite.runs.push(RunRecord::from_profiled(
-            &slow_run,
+        ));
+        suite.runs.push(RunRecord::from_stats(
+            kind.name(),
+            "none",
+            "",
+            &healthy_run.stats,
+            None,
+            healthy_run.profiler.as_ref(),
+        ));
+        suite.runs.push(RunRecord::from_stats(
+            kind.name(),
             "net_slow",
             "",
+            &slow_run.stats,
             Some(healthy_run.stats.throughput),
+            slow_run.profiler.as_ref(),
         ));
         let (healthy, slow) = (healthy_run.stats, slow_run.stats);
         t.row(vec![
@@ -448,7 +405,7 @@ fn ablation_chain_vs_quorum(suite: &mut Suite) {
 fn main() {
     ablation_wait_style();
     ablation_buffers();
-    let mut suite = Suite::new("ablations", depfast_bench::ExperimentCfg::default().seed);
+    let mut suite = Suite::new("ablations", RunCfg::default().seed);
     ablation_entrycache(&mut suite);
     ablation_batching(&mut suite);
     ablation_chain_vs_quorum(&mut suite);

@@ -41,16 +41,14 @@
 use std::time::Duration;
 
 use depfast_bench::baseline::{RunRecord, Suite};
+use depfast_bench::experiment::bench_raft_cfg;
 use depfast_bench::{
-    format_ms, group_run_stats, repo_root, run_experiment_instrumented, run_experiment_profiled,
-    run_experiment_traced, run_scale_experiment, run_scale_incident, slug, write_metrics_csv,
-    write_repo_artifact, ExperimentCfg, ScaleCfg, Table,
+    format_ms, repo_root, run, slug, write_metrics_csv, write_repo_artifact, RunCfg, RunOutput,
+    Shape, Table, Window,
 };
 use depfast_fault::FaultKind;
-use depfast_profile::Profiler;
 use depfast_raft::cluster::RaftKind;
 use depfast_trace_analysis as trace_analysis;
-use depfast_ycsb::driver::RunStats;
 use simkit::NodeId;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -64,19 +62,21 @@ fn env_u64(name: &str, default: u64) -> u64 {
 /// rollup lands in `BENCH_fig1.json`); with `--metrics`, instead samples
 /// the metric registry and dumps the time series to
 /// `target/depfast-bench/fig1_metrics_<run>.csv`.
-fn run_one(cfg: &ExperimentCfg, metrics: bool, run_name: &str) -> (RunStats, Option<Profiler>) {
-    if !metrics {
-        let run = run_experiment_profiled(cfg);
-        return (run.stats, Some(run.profiler));
+fn run_one(cfg: RunCfg, metrics: bool, run_name: &str) -> RunOutput {
+    let out = run(&RunCfg {
+        profile: !metrics,
+        sample_every: metrics.then_some(Duration::from_millis(100)),
+        ..cfg
+    });
+    if metrics {
+        if let Ok(p) = write_metrics_csv("fig1", run_name, &out.sampler.to_csv()) {
+            println!("[csv] {}", p.display());
+        }
+        if let Ok(p) = depfast_bench::write_metrics_json("fig1", run_name, &out.metrics.to_json()) {
+            println!("[json] {}", p.display());
+        }
     }
-    let run = run_experiment_instrumented(cfg, Duration::from_millis(100));
-    if let Ok(p) = write_metrics_csv("fig1", run_name, &run.sampler.to_csv()) {
-        println!("[csv] {}", p.display());
-    }
-    if let Ok(p) = depfast_bench::write_metrics_json("fig1", run_name, &run.metrics.to_json()) {
-        println!("[json] {}", p.display());
-    }
-    (run.stats, None)
+    out
 }
 
 /// `--flag <value>` extraction from the bench's raw argv.
@@ -90,36 +90,34 @@ fn arg_value(flag: &str) -> Option<String> {
 /// The `--chrome-trace` / `--trace-out` mode: one short, fully-traced,
 /// fixed-seed DepFastRaft run with a disk-slow follower (node 2).
 fn trace_export(chrome: Option<String>, raw: Option<String>) {
-    let cfg = ExperimentCfg {
+    let cfg = RunCfg {
         kind: RaftKind::DepFast,
-        n_clients: 32,
+        clients: 32,
         warmup: Duration::from_millis(500),
         measure: Duration::from_secs(1),
         records: 10_000,
-        fault: Some((
-            depfast_bench::FaultTarget::Followers(vec![2]),
-            FaultKind::DiskSlow { bw_factor: 0.008 },
-        )),
-        ..ExperimentCfg::default()
-    };
+        trace: true,
+        ..RunCfg::default()
+    }
+    .with_fault([2], FaultKind::DiskSlow { bw_factor: 0.008 });
     eprintln!(
         "[fig1] traced run (DepFastRaft, disk-slow follower 2, seed {})...",
         cfg.seed
     );
-    let run = run_experiment_traced(&cfg);
+    let run = run(&cfg);
     eprintln!(
         "[fig1] {} records, {:.0} req/s over the traced window",
-        run.records.len(),
+        run.trace.len(),
         run.stats.throughput
     );
-    if run.dropped > 0 {
+    if run.trace_dropped > 0 {
         eprintln!(
             "[fig1] WARNING: trace ring buffer dropped {} record(s); blame shares \
              below are computed from a truncated stream",
-            run.dropped
+            run.trace_dropped
         );
     }
-    let index = trace_analysis::TraceIndex::build(&run.records);
+    let index = trace_analysis::TraceIndex::build(&run.trace);
     print!("{}", trace_analysis::blame_report(&index).table(12));
     if let Some(path) = chrome {
         std::fs::write(&path, trace_analysis::chrome_trace(&index)).expect("write chrome trace");
@@ -128,7 +126,7 @@ fn trace_export(chrome: Option<String>, raw: Option<String>) {
     if let Some(path) = raw {
         std::fs::write(
             &path,
-            trace_analysis::serialize_dump(&run.records, run.dropped),
+            trace_analysis::serialize_dump(&run.trace, run.trace_dropped),
         )
         .expect("write raw trace");
         println!("[trace-out] {path} (analyze with `cargo run -p depfast-bench --bin depfast-trace -- {path}`)");
@@ -164,27 +162,29 @@ fn incidents_mode() {
         RaftKind::Backlog,
         RaftKind::Callback,
     ] {
-        let cfg = ExperimentCfg {
+        let cfg = RunCfg {
             kind,
-            n_clients: 64,
+            clients: 64,
             warmup: Duration::from_secs(2),
             measure: Duration::from_millis(3200),
             records: 10_000,
-            fault: Some((
-                depfast_bench::FaultTarget::Followers(vec![2]),
-                FaultKind::DiskSlow { bw_factor: 0.008 },
-            )),
-            fault_at: Some(Duration::from_secs(2)),
-            fault_duration: Some(Duration::from_millis(1200)),
-            ..ExperimentCfg::default()
+            faults: vec![Window {
+                node: 2,
+                kind: FaultKind::DiskSlow { bw_factor: 0.008 },
+                at: Duration::from_secs(2),
+                duration: Some(Duration::from_millis(1200)),
+            }],
+            sample_every: Some(depfast_bench::experiment::INCIDENT_SAMPLE_EVERY),
+            detector: Some(dcfg),
+            ..RunCfg::default()
         };
         eprintln!(
             "[fig1] incident run ({}, disk-slow follower 2)...",
             kind.name()
         );
-        let run = depfast_bench::run_experiment_incident(&cfg, dcfg);
-        let cell = depfast_incident::score(&run.dump, depfast_incident::RECOVERY_BAND);
-        print!("{}", depfast_incident::render_report(&run.dump, &cell));
+        let dump = run(&cfg).incident_dump(&cfg, cfg.fault_name());
+        let cell = depfast_incident::score(&dump, depfast_incident::RECOVERY_BAND);
+        print!("{}", depfast_incident::render_report(&dump, &cell));
         let ms = |v: Option<u64>| {
             v.map_or_else(|| "-".to_string(), |ns| format!("{:.1}", ns as f64 / 1e6))
         };
@@ -199,7 +199,7 @@ fn incidents_mode() {
             cell.misattributions.to_string(),
         ]);
         if kind == RaftKind::DepFast {
-            let (spans, marks) = depfast_incident::incident_track(&run.dump);
+            let (spans, marks) = depfast_incident::incident_track(&dump);
             let index = trace_analysis::TraceIndex::build(&[]);
             let path = dir.join("fig1_incidents_trace.json");
             std::fs::write(
@@ -209,7 +209,7 @@ fn incidents_mode() {
             .expect("write chrome incident trace");
             chrome = Some(path.display().to_string());
         }
-        dumps.push(run.dump);
+        dumps.push(dump);
     }
     table.print();
     let path = dir.join("fig1_incidents.dump");
@@ -236,34 +236,33 @@ fn profile_mode() {
         RaftKind::Backlog,
         RaftKind::Callback,
     ] {
-        let cfg = ExperimentCfg {
+        let cfg = RunCfg {
             kind,
-            n_clients: 32,
+            clients: 32,
             warmup: Duration::from_millis(500),
             measure: Duration::from_secs(1),
             records: 10_000,
-            fault: Some((
-                depfast_bench::FaultTarget::Followers(vec![2]),
-                FaultKind::DiskSlow { bw_factor: 0.008 },
-            )),
-            ..ExperimentCfg::default()
-        };
+            profile: true,
+            ..RunCfg::default()
+        }
+        .with_fault([2], FaultKind::DiskSlow { bw_factor: 0.008 });
         eprintln!(
             "[fig1] profiled run ({}, disk-slow follower 2, seed {})...",
             kind.name(),
             cfg.seed
         );
-        let run = run_experiment_profiled(&cfg);
+        let run = run(&cfg);
+        let profiler = run.profiler.expect("profiled run");
         let stem = format!("fig1_profile_{}", slug(kind.name()));
         let folded_path = dir.join(format!("{stem}.folded"));
         let svg_path = dir.join(format!("{stem}.svg"));
-        std::fs::write(&folded_path, run.profiler.folded()).expect("write folded stacks");
-        std::fs::write(&svg_path, run.profiler.svg()).expect("write SVG flamegraph");
+        std::fs::write(&folded_path, profiler.folded()).expect("write folded stacks");
+        std::fs::write(&svg_path, profiler.svg()).expect("write SVG flamegraph");
         println!(
             "{:<28} {:>6.0} req/s  node-2 disk share {:>5.1}%  [folded] {}  [svg] {}",
             kind.name(),
             run.stats.throughput,
-            run.profiler.node_site_share(NodeId(2), "disk") * 100.0,
+            profiler.node_site_share(NodeId(2), "disk") * 100.0,
             folded_path.display(),
             svg_path.display()
         );
@@ -291,7 +290,7 @@ fn main() {
     let systems = [RaftKind::Sync, RaftKind::Backlog, RaftKind::Callback];
     let mem_limit = depfast_bench::experiment::mem_contention_limit();
     let faults = FaultKind::table1(mem_limit);
-    let mut suite = Suite::new("fig1", ExperimentCfg::default().seed);
+    let mut suite = Suite::new("fig1", RunCfg::default().seed);
     suite.config("clients", clients as f64);
     suite.config("measure_secs", measure.as_secs_f64());
 
@@ -309,23 +308,27 @@ fn main() {
     );
 
     for kind in systems {
-        let base_cfg = ExperimentCfg {
+        let base_cfg = RunCfg {
             kind,
-            n_clients: clients,
+            clients,
             measure,
-            ..ExperimentCfg::default()
+            ..RunCfg::default()
         };
         eprintln!("[fig1] {} baseline...", kind.name());
-        let (base, base_prof) =
-            run_one(&base_cfg, metrics, &format!("{}_no_slowness", kind.name()));
+        let out = run_one(
+            base_cfg.clone(),
+            metrics,
+            &format!("{}_no_slowness", kind.name()),
+        );
         suite.runs.push(RunRecord::from_stats(
             kind.name(),
             "none",
             "",
-            &base,
+            &out.stats,
             None,
-            base_prof.as_ref(),
+            out.profiler.as_ref(),
         ));
+        let base = out.stats;
         let rows = |t: &mut Table, cond: &str, value: String, norm: String| {
             t.row(vec![kind.name().to_string(), cond.to_string(), value, norm]);
         };
@@ -349,11 +352,8 @@ fn main() {
         );
         for fault in faults {
             eprintln!("[fig1] {} + {}...", kind.name(), fault.name());
-            let (stats, prof) = run_one(
-                &ExperimentCfg {
-                    fault: Some((ExperimentCfg::followers(1), fault)),
-                    ..base_cfg.clone()
-                },
+            let out = run_one(
+                base_cfg.clone().with_fault([1], fault),
                 metrics,
                 &format!("{}_{}", kind.name(), fault.name()),
             );
@@ -361,10 +361,11 @@ fn main() {
                 kind.name(),
                 fault.name(),
                 "",
-                &stats,
+                &out.stats,
                 Some(base.throughput),
-                prof.as_ref(),
+                out.profiler.as_ref(),
             ));
+            let stats = out.stats;
             if stats.server_crashed {
                 for t in [&mut tput, &mut avg, &mut p99] {
                     t.row(vec![
@@ -426,24 +427,26 @@ fn main() {
     for (label, batch_max, pipeline_depth) in configs {
         for n_clients in [64usize, 256, 512] {
             eprintln!("[fig1] DepFastRaft {label} @ {n_clients} clients...");
-            let cfg = ExperimentCfg {
+            let mut raft = bench_raft_cfg();
+            raft.batch_max = batch_max.unwrap_or(raft.batch_max);
+            raft.pipeline_depth = pipeline_depth.unwrap_or(raft.pipeline_depth);
+            let cfg = RunCfg {
                 kind: RaftKind::DepFast,
-                n_clients,
+                clients: n_clients,
                 measure,
-                batch_max,
-                pipeline_depth,
-                ..ExperimentCfg::default()
+                raft,
+                ..RunCfg::default()
             };
-            let (stats, prof) =
-                run_one(&cfg, metrics, &format!("DepFastRaft_{label}_{n_clients}c"));
+            let out = run_one(cfg, metrics, &format!("DepFastRaft_{label}_{n_clients}c"));
             suite.runs.push(RunRecord::from_stats(
                 "DepFastRaft",
                 "none",
                 &format!("{label}/{n_clients}c"),
-                &stats,
+                &out.stats,
                 None,
-                prof.as_ref(),
+                out.profiler.as_ref(),
             ));
+            let stats = out.stats;
             step.row(vec![
                 label.to_string(),
                 n_clients.to_string(),
@@ -469,30 +472,32 @@ fn main() {
     let mut one_group: Option<f64> = None;
     for n_groups in [1usize, 4, 16, 64] {
         eprintln!("[fig1] DepFastRaft scale-out @ {n_groups} group(s)...");
-        let cfg = ScaleCfg {
+        let cfg = RunCfg {
             kind: RaftKind::DepFast,
-            n_groups,
-            n_nodes: 12,
-            group_size: 3,
-            n_clients: scale_clients,
+            shape: Shape::Sharded {
+                groups: n_groups,
+                nodes: 12,
+                group_size: 3,
+            },
+            clients: scale_clients,
             measure: scale_measure,
-            ..ScaleCfg::default()
+            ..RunCfg::default()
         };
-        let stats = run_scale_experiment(&cfg);
-        let base = *one_group.get_or_insert(stats.total.throughput);
+        let stats = run(&cfg).stats;
+        let base = *one_group.get_or_insert(stats.throughput);
         suite.runs.push(RunRecord::from_stats(
             RaftKind::DepFast.name(),
             "none",
-            &cfg.cluster_label(),
-            &stats.total,
+            &cfg.shape.label(),
+            &stats,
             Some(base),
             None,
         ));
         scale.row(vec![
             n_groups.to_string(),
-            format!("{:.0}", stats.total.throughput),
-            format!("{:.2}x", stats.total.throughput / base),
-            format_ms(stats.total.latency.p99),
+            format!("{:.0}", stats.throughput),
+            format!("{:.2}x", stats.throughput / base),
+            format_ms(stats.latency.p99),
         ]);
     }
 
@@ -520,46 +525,48 @@ fn main() {
         ..depfast_detect::DetectorCfg::default()
     };
     for kind in [RaftKind::DepFast, RaftKind::Sync] {
-        let base_cfg = ScaleCfg {
+        let base_cfg = RunCfg {
             kind,
-            n_groups: 8,
-            n_nodes: 9,
-            group_size: 3,
-            n_clients: scale_clients.min(256),
+            shape: Shape::Sharded {
+                groups: 8,
+                nodes: 9,
+                group_size: 3,
+            },
+            clients: scale_clients.min(256),
             measure: scale_measure,
-            ..ScaleCfg::default()
+            ..RunCfg::default()
         };
         eprintln!("[fig1] {} blast-radius baseline...", kind.name());
-        let healthy = run_scale_experiment(&base_cfg);
+        let healthy = run(&base_cfg);
         eprintln!("[fig1] {} blast-radius episode...", kind.name());
-        let run = run_scale_incident(
-            &ScaleCfg {
-                fault: Some((8, blast_fault)),
-                fault_at: Some(Duration::from_secs(2)),
-                ..base_cfg.clone()
-            },
-            dcfg,
-        );
-        for (h, f) in healthy.groups.iter().zip(&run.stats.groups) {
-            let dump = &run.dumps[(h.gid - 1) as usize];
+        let episode_cfg = RunCfg {
+            faults: vec![Window {
+                node: 8,
+                kind: blast_fault,
+                at: Duration::from_secs(2),
+                duration: None,
+            }],
+            sample_every: Some(depfast_bench::experiment::INCIDENT_SAMPLE_EVERY),
+            detector: Some(dcfg),
+            ..base_cfg
+        };
+        let episode = run(&episode_cfg);
+        let dumps = episode.group_dumps(&episode_cfg, blast_fault.name());
+        for (h, f) in healthy.groups.iter().zip(&episode.groups) {
+            let dump = &dumps[(h.gid - 1) as usize];
             let cell = depfast_incident::score(dump, depfast_incident::RECOVERY_BAND);
             suite.runs.push(RunRecord::from_stats(
                 kind.name(),
                 blast_fault.name(),
                 &dump.cluster,
-                &group_run_stats(f, &run.stats.total),
+                &episode.group_stats(f.gid),
                 Some(h.throughput),
                 None,
             ));
             blast.row(vec![
                 kind.name().to_string(),
                 format!("g{}", h.gid),
-                if run.hosted.contains(&h.gid) {
-                    "yes"
-                } else {
-                    ""
-                }
-                .to_string(),
+                if dump.faults.is_empty() { "" } else { "yes" }.to_string(),
                 format!("{:.0}", f.throughput),
                 format!(
                     "{:.2}x",

@@ -29,13 +29,11 @@ use std::time::Duration;
 
 use depfast_bench::baseline::{RunRecord, Suite};
 use depfast_bench::{
-    format_ms, repo_root, run_experiment_instrumented, run_experiment_profiled, slug,
-    write_metrics_csv, write_repo_artifact, ExperimentCfg, Table,
+    format_ms, repo_root, run, slug, write_metrics_csv, write_repo_artifact, RunCfg, RunOutput,
+    Shape, Table, Window,
 };
 use depfast_fault::FaultKind;
-use depfast_profile::Profiler;
 use depfast_raft::cluster::RaftKind;
-use depfast_ycsb::driver::RunStats;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -48,19 +46,21 @@ fn env_u64(name: &str, default: u64) -> u64 {
 /// rollup lands in `BENCH_fig3.json`); with `--metrics`, instead samples
 /// the metric registry and dumps the time series to
 /// `target/depfast-bench/fig3_metrics_<run>.csv`.
-fn run_one(cfg: &ExperimentCfg, metrics: bool, run_name: &str) -> (RunStats, Option<Profiler>) {
-    if !metrics {
-        let run = run_experiment_profiled(cfg);
-        return (run.stats, Some(run.profiler));
+fn run_one(cfg: RunCfg, metrics: bool, run_name: &str) -> RunOutput {
+    let out = run(&RunCfg {
+        profile: !metrics,
+        sample_every: metrics.then_some(Duration::from_millis(100)),
+        ..cfg
+    });
+    if metrics {
+        if let Ok(p) = write_metrics_csv("fig3", run_name, &out.sampler.to_csv()) {
+            println!("[csv] {}", p.display());
+        }
+        if let Ok(p) = depfast_bench::write_metrics_json("fig3", run_name, &out.metrics.to_json()) {
+            println!("[json] {}", p.display());
+        }
     }
-    let run = run_experiment_instrumented(cfg, Duration::from_millis(100));
-    if let Ok(p) = write_metrics_csv("fig3", run_name, &run.sampler.to_csv()) {
-        println!("[csv] {}", p.display());
-    }
-    if let Ok(p) = depfast_bench::write_metrics_json("fig3", run_name, &run.metrics.to_json()) {
-        println!("[json] {}", p.display());
-    }
-    (run.stats, None)
+    out
 }
 
 /// The `--profile` mode: one short, fixed-seed, profiled DepFastRaft run
@@ -71,29 +71,31 @@ fn profile_mode() {
     let dir = repo_root().join("target/depfast-bench");
     std::fs::create_dir_all(&dir).expect("create output dir");
     for (n_servers, slow_followers) in [(3usize, 1usize), (5, 2)] {
-        let cfg = ExperimentCfg {
+        let cfg = RunCfg {
             kind: RaftKind::DepFast,
-            n_servers,
-            n_clients: 32,
+            shape: Shape::Single { servers: n_servers },
+            clients: 32,
             warmup: Duration::from_millis(500),
             measure: Duration::from_secs(1),
             records: 10_000,
-            fault: Some((
-                ExperimentCfg::followers(slow_followers),
-                FaultKind::DiskSlow { bw_factor: 0.008 },
-            )),
-            ..ExperimentCfg::default()
-        };
+            profile: true,
+            ..RunCfg::default()
+        }
+        .with_fault(
+            1..=slow_followers as u32,
+            FaultKind::DiskSlow { bw_factor: 0.008 },
+        );
         eprintln!(
             "[fig3] profiled run ({n_servers} nodes, {slow_followers} disk-slow follower(s), seed {})...",
             cfg.seed
         );
-        let run = run_experiment_profiled(&cfg);
+        let run = run(&cfg);
+        let profiler = run.profiler.expect("profiled run");
         let stem = format!("fig3_profile_{}", slug(&format!("{n_servers}_nodes")));
         let folded_path = dir.join(format!("{stem}.folded"));
         let svg_path = dir.join(format!("{stem}.svg"));
-        std::fs::write(&folded_path, run.profiler.folded()).expect("write folded stacks");
-        std::fs::write(&svg_path, run.profiler.svg()).expect("write SVG flamegraph");
+        std::fs::write(&folded_path, profiler.folded()).expect("write folded stacks");
+        std::fs::write(&svg_path, profiler.svg()).expect("write SVG flamegraph");
         println!(
             "{n_servers} nodes  {:>6.0} req/s  [folded] {}  [svg] {}",
             run.stats.throughput,
@@ -125,31 +127,35 @@ fn incidents_mode() {
     );
     let mut dumps = Vec::new();
     for (n_servers, slow_followers) in [(3usize, 1usize), (5, 2)] {
-        let cfg = ExperimentCfg {
+        let cfg = RunCfg {
             kind: RaftKind::DepFast,
-            n_servers,
-            n_clients: 64,
+            shape: Shape::Single { servers: n_servers },
+            clients: 64,
             warmup: Duration::from_secs(2),
             measure: Duration::from_millis(3200),
             records: 10_000,
-            fault: Some((
-                ExperimentCfg::followers(slow_followers),
-                FaultKind::DiskSlow { bw_factor: 0.008 },
-            )),
-            fault_at: Some(Duration::from_secs(2)),
-            fault_duration: Some(Duration::from_millis(1200)),
-            ..ExperimentCfg::default()
+            faults: (1..=slow_followers as u32)
+                .map(|node| Window {
+                    node,
+                    kind: FaultKind::DiskSlow { bw_factor: 0.008 },
+                    at: Duration::from_secs(2),
+                    duration: Some(Duration::from_millis(1200)),
+                })
+                .collect(),
+            sample_every: Some(depfast_bench::experiment::INCIDENT_SAMPLE_EVERY),
+            detector: Some(dcfg),
+            ..RunCfg::default()
         };
         eprintln!(
             "[fig3] incident run ({n_servers} nodes, {slow_followers} disk-slow follower(s))..."
         );
-        let run = depfast_bench::run_experiment_incident(&cfg, dcfg);
-        let cell = depfast_incident::score(&run.dump, depfast_incident::RECOVERY_BAND);
-        print!("{}", depfast_incident::render_report(&run.dump, &cell));
+        let dump = run(&cfg).incident_dump(&cfg, cfg.fault_name());
+        let cell = depfast_incident::score(&dump, depfast_incident::RECOVERY_BAND);
+        print!("{}", depfast_incident::render_report(&dump, &cell));
         let mut row = vec![format!("{n_servers} Nodes")];
         row.extend(depfast_incident::scorecard_cells(&cell));
         table.row(row);
-        dumps.push(run.dump);
+        dumps.push(dump);
     }
     table.print();
     let path = dir.join("fig3_incidents.dump");
@@ -190,33 +196,34 @@ fn main() {
         ],
     );
     let mut worst_drift: f64 = 0.0;
-    let mut suite = Suite::new("fig3", ExperimentCfg::default().seed);
+    let mut suite = Suite::new("fig3", RunCfg::default().seed);
     suite.config("clients", clients as f64);
     suite.config("measure_secs", measure.as_secs_f64());
 
     for (n_servers, slow_followers) in [(3usize, 1usize), (5, 2)] {
-        let base_cfg = ExperimentCfg {
+        let base_cfg = RunCfg {
             kind: RaftKind::DepFast,
-            n_servers,
-            n_clients: clients,
+            shape: Shape::Single { servers: n_servers },
+            clients,
             measure,
-            ..ExperimentCfg::default()
+            ..RunCfg::default()
         };
         eprintln!("[fig3] {n_servers} nodes baseline...");
-        let (base, base_prof) = run_one(
-            &base_cfg,
+        let out = run_one(
+            base_cfg.clone(),
             metrics,
             &format!("{n_servers}_nodes_no_slowness"),
         );
-        let cluster = format!("{n_servers}_nodes");
+        let cluster = base_cfg.shape.label();
         suite.runs.push(RunRecord::from_stats(
             RaftKind::DepFast.name(),
             "none",
             &cluster,
-            &base,
+            &out.stats,
             None,
-            base_prof.as_ref(),
+            out.profiler.as_ref(),
         ));
+        let base = out.stats;
         table.row(vec![
             format!("{n_servers} Nodes"),
             "No Slowness".into(),
@@ -232,11 +239,10 @@ fn main() {
                 "[fig3] {n_servers} nodes + {} on {slow_followers} follower(s)...",
                 fault.name()
             );
-            let (stats, prof) = run_one(
-                &ExperimentCfg {
-                    fault: Some((ExperimentCfg::followers(slow_followers), fault)),
-                    ..base_cfg.clone()
-                },
+            let out = run_one(
+                base_cfg
+                    .clone()
+                    .with_fault(1..=slow_followers as u32, fault),
                 metrics,
                 &format!("{n_servers}_nodes_{}", fault.name()),
             );
@@ -244,10 +250,11 @@ fn main() {
                 RaftKind::DepFast.name(),
                 fault.name(),
                 &cluster,
-                &stats,
+                &out.stats,
                 Some(base.throughput),
-                prof.as_ref(),
+                out.profiler.as_ref(),
             ));
+            let stats = out.stats;
             let drift = |v: f64, b: f64| (v - b) / b;
             let d_t = drift(stats.throughput, base.throughput);
             let d_a = drift(

@@ -1,20 +1,20 @@
-//! Machine-readable perf baselines and the regression gate.
+//! Machine-readable perf baselines and the regression comparison.
 //!
 //! Every bench emitter rolls its runs into a [`Suite`] — one record per
 //! (driver, fault, cluster) cell with throughput, latency quantiles,
 //! normalized drift and the wait-state profiler's site rollup — and
 //! writes it as `BENCH_<suite>.json` at the repo root via
-//! [`crate::write_repo_artifact`]. The `bench-gate` binary re-runs a
-//! small-seed suite and [`compare`]s it against the committed
-//! `BENCH_baseline.json` under tolerance bands, exiting nonzero on
-//! regression; CI runs that on every push.
+//! [`crate::write_repo_artifact`]. The `gate` binary (in
+//! `depfast-scenario`, which sees every suite) re-runs the fixed-seed
+//! gate suites and [`compare`]s each against its committed baseline under
+//! one set of [`Tolerance`] bands, exiting nonzero on regression; CI runs
+//! that on every push.
 //!
 //! Simulated time is deterministic, so the numbers only move when the
 //! code's behavior moves — the tolerance bands exist for intentional
 //! drift (tuning, new instrumentation on the simulated CPU), not for
 //! noise.
 
-use crate::experiment::ProfiledRun;
 use crate::json::Json;
 use depfast_profile::Profiler;
 use depfast_ycsb::driver::RunStats;
@@ -89,23 +89,6 @@ impl RunRecord {
         }
     }
 
-    /// Convenience over [`RunRecord::from_stats`] for profiled runs.
-    pub fn from_profiled(
-        run: &ProfiledRun,
-        fault: &str,
-        cluster: &str,
-        base_throughput: Option<f64>,
-    ) -> RunRecord {
-        RunRecord::from_stats(
-            &run.profiler.driver(),
-            fault,
-            cluster,
-            &run.stats,
-            base_throughput,
-            Some(&run.profiler),
-        )
-    }
-
     /// The record's identity within a suite.
     pub fn key(&self) -> String {
         format!("{} | {} | {}", self.driver, self.cluster, self.fault)
@@ -167,17 +150,11 @@ impl RunRecord {
     }
 }
 
-/// Detection-quality numbers for one `(driver, fault, cluster)` cell —
+/// Detection-quality numbers, shared by the detect and scenario cells —
 /// the suite-level form of `depfast_incident::ScoreCell`, with times in
 /// milliseconds for readability.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DetectRecord {
-    /// Raft driver name (`RaftKind::name()`).
-    pub driver: String,
-    /// Fault-class name, `"none"` for the no-fault matrix.
-    pub fault: String,
-    /// Cluster shape discriminator.
-    pub cluster: String,
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Detection {
     /// Every injected fault was suspected (vacuously false with no fault).
     pub detected: bool,
     /// Time to detect, milliseconds.
@@ -194,19 +171,11 @@ pub struct DetectRecord {
     pub misattributions: u64,
 }
 
-impl DetectRecord {
-    /// Lifts a scorecard cell into a suite record.
-    pub fn from_cell(
-        driver: &str,
-        fault: &str,
-        cluster: &str,
-        cell: &depfast_incident::ScoreCell,
-    ) -> DetectRecord {
+impl Detection {
+    /// Lifts a scorecard cell into suite form.
+    pub fn from_cell(cell: &depfast_incident::ScoreCell) -> Detection {
         let ms = |ns: u64| ns as f64 / 1e6;
-        DetectRecord {
-            driver: driver.to_string(),
-            fault: fault.to_string(),
-            cluster: cluster.to_string(),
+        Detection {
             detected: cell.detected,
             ttd_ms: cell.ttd_ns.map(ms),
             ttm_ms: cell.ttm_ns.map(ms),
@@ -217,16 +186,7 @@ impl DetectRecord {
         }
     }
 
-    /// The record's identity within a suite.
-    pub fn key(&self) -> String {
-        format!("{} | {} | {}", self.driver, self.cluster, self.fault)
-    }
-
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("driver", Json::Str(self.driver.clone()));
-        o.set("fault", Json::Str(self.fault.clone()));
-        o.set("cluster", Json::Str(self.cluster.clone()));
+    fn write_json(&self, o: &mut Json) {
         o.set("detected", Json::Bool(self.detected));
         // Absent keys mean "no measurement" — distinct from 0.0.
         if let Some(v) = self.ttd_ms {
@@ -241,6 +201,103 @@ impl DetectRecord {
         o.set("false_positives", Json::Num(self.false_positives as f64));
         o.set("false_negatives", Json::Num(self.false_negatives as f64));
         o.set("misattributions", Json::Num(self.misattributions as f64));
+    }
+
+    fn from_json(v: &Json) -> Detection {
+        Detection {
+            detected: matches!(v.get("detected"), Some(Json::Bool(true))),
+            ttd_ms: v.num("ttd_ms"),
+            ttm_ms: v.num("ttm_ms"),
+            ttr_ms: v.num("ttr_ms"),
+            false_positives: v.num("false_positives").unwrap_or(0.0) as u64,
+            false_negatives: v.num("false_negatives").unwrap_or(0.0) as u64,
+            misattributions: v.num("misattributions").unwrap_or(0.0) as u64,
+        }
+    }
+
+    /// A detector that gets slower, cries wolf, misses a fault or blames
+    /// the wrong node fails: lost detections and new FP/FN/misattribution
+    /// are gated at zero increase, time-to-detect at
+    /// `base × (1 + ttd_rise) + ttd_slack_ms`.
+    fn check(&self, base: &Detection, key: &str, tol: &Tolerance, out: &mut GateOutcome) {
+        if base.detected && !self.detected {
+            out.failures
+                .push(format!("[{key}] fault no longer detected"));
+        }
+        for (name, b, c) in [
+            (
+                "false positives",
+                base.false_positives,
+                self.false_positives,
+            ),
+            (
+                "false negatives",
+                base.false_negatives,
+                self.false_negatives,
+            ),
+            (
+                "misattributions",
+                base.misattributions,
+                self.misattributions,
+            ),
+        ] {
+            if c > b {
+                out.failures.push(format!("[{key}] {name} {b} → {c}"));
+            }
+        }
+        if let (Some(b), Some(c)) = (base.ttd_ms, self.ttd_ms) {
+            let limit = b * (1.0 + tol.ttd_rise) + tol.ttd_slack_ms;
+            if c > limit {
+                out.failures.push(format!(
+                    "[{key}] time-to-detect {b:.1} → {c:.1} ms (limit {limit:.1} ms)"
+                ));
+            } else if c < b * 0.5 {
+                out.notes.push(format!(
+                    "[{key}] time-to-detect improved {b:.1} → {c:.1} ms — consider refreshing the baseline"
+                ));
+            }
+        }
+    }
+}
+
+/// Detection quality for one `(driver, fault, cluster)` cell.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DetectRecord {
+    /// Raft driver name (`RaftKind::name()`).
+    pub driver: String,
+    /// Fault-class name, `"none"` for the no-fault matrix.
+    pub fault: String,
+    /// Cluster shape discriminator.
+    pub cluster: String,
+    /// The cell's detection quality.
+    pub detection: Detection,
+}
+
+impl DetectRecord {
+    /// The scored record of one incident dump.
+    pub fn from_dump(
+        dump: &depfast_incident::IncidentDump,
+        cell: &depfast_incident::ScoreCell,
+    ) -> DetectRecord {
+        DetectRecord {
+            driver: dump.driver.clone(),
+            fault: dump.fault.clone(),
+            cluster: dump.cluster.clone(),
+            detection: Detection::from_cell(cell),
+        }
+    }
+
+    /// The record's identity within a suite.
+    pub fn key(&self) -> String {
+        format!("{} | {} | {}", self.driver, self.cluster, self.fault)
+    }
+
+    fn to_json(&self) -> Json {
+        let mut o = Json::obj();
+        o.set("driver", Json::Str(self.driver.clone()));
+        o.set("fault", Json::Str(self.fault.clone()));
+        o.set("cluster", Json::Str(self.cluster.clone()));
+        self.detection.write_json(&mut o);
         o
     }
 
@@ -254,13 +311,7 @@ impl DetectRecord {
             driver: str_field("driver")?,
             fault: str_field("fault")?,
             cluster: str_field("cluster")?,
-            detected: matches!(v.get("detected"), Some(Json::Bool(true))),
-            ttd_ms: v.num("ttd_ms"),
-            ttm_ms: v.num("ttm_ms"),
-            ttr_ms: v.num("ttr_ms"),
-            false_positives: v.num("false_positives").unwrap_or(0.0) as u64,
-            false_negatives: v.num("false_negatives").unwrap_or(0.0) as u64,
-            misattributions: v.num("misattributions").unwrap_or(0.0) as u64,
+            detection: Detection::from_json(v),
         })
     }
 }
@@ -286,20 +337,8 @@ pub struct ScenarioRecord {
     pub p99_ms: f64,
     /// Longest post-warm-up commit stall, milliseconds.
     pub stall_ms: f64,
-    /// Every injected fault was suspected.
-    pub detected: bool,
-    /// Time to detect, milliseconds.
-    pub ttd_ms: Option<f64>,
-    /// Time to mitigate, milliseconds.
-    pub ttm_ms: Option<f64>,
-    /// Time to recover, milliseconds.
-    pub ttr_ms: Option<f64>,
-    /// Suspicions with no fault injected anywhere.
-    pub false_positives: u64,
-    /// Injected faults never suspected.
-    pub false_negatives: u64,
-    /// Suspicions of healthy nodes during a fault elsewhere.
-    pub misattributions: u64,
+    /// The cell's detection quality.
+    pub detection: Detection,
     /// Time to stabilize, milliseconds: fault-clear → `storm_cleared`.
     /// `None` in a storm cell means the storm never dissolved; absent
     /// entirely (also `None`) for non-storm matrix cells.
@@ -329,20 +368,7 @@ impl ScenarioRecord {
         o.set("floor", Json::Num(round2(self.floor)));
         o.set("p99_ms", Json::Num(round4(self.p99_ms)));
         o.set("stall_ms", Json::Num(round2(self.stall_ms)));
-        o.set("detected", Json::Bool(self.detected));
-        // Absent keys mean "no measurement" — distinct from 0.0.
-        if let Some(v) = self.ttd_ms {
-            o.set("ttd_ms", Json::Num(round4(v)));
-        }
-        if let Some(v) = self.ttm_ms {
-            o.set("ttm_ms", Json::Num(round4(v)));
-        }
-        if let Some(v) = self.ttr_ms {
-            o.set("ttr_ms", Json::Num(round4(v)));
-        }
-        o.set("false_positives", Json::Num(self.false_positives as f64));
-        o.set("false_negatives", Json::Num(self.false_negatives as f64));
-        o.set("misattributions", Json::Num(self.misattributions as f64));
+        self.detection.write_json(&mut o);
         // Storm columns: emitted only for storm-monitored cells, so
         // pre-existing (non-storm) baselines stay byte-identical.
         if let Some(v) = self.tts_ms {
@@ -372,13 +398,7 @@ impl ScenarioRecord {
             floor: v.num("floor").unwrap_or(0.0),
             p99_ms: v.num("p99_ms").unwrap_or(0.0),
             stall_ms: v.num("stall_ms").unwrap_or(0.0),
-            detected: matches!(v.get("detected"), Some(Json::Bool(true))),
-            ttd_ms: v.num("ttd_ms"),
-            ttm_ms: v.num("ttm_ms"),
-            ttr_ms: v.num("ttr_ms"),
-            false_positives: v.num("false_positives").unwrap_or(0.0) as u64,
-            false_negatives: v.num("false_negatives").unwrap_or(0.0) as u64,
-            misattributions: v.num("misattributions").unwrap_or(0.0) as u64,
+            detection: Detection::from_json(v),
             tts_ms: v.num("tts_ms"),
             storm_sustained: match v.get("storm_sustained") {
                 Some(Json::Bool(b)) => Some(*b),
@@ -505,18 +525,34 @@ fn round4(v: f64) -> f64 {
     (v * 1e4).round() / 1e4
 }
 
-/// Allowed movement before the gate fails a cell.
+/// Allowed movement before the gate fails a cell, for every column group
+/// a suite can carry.
 ///
 /// Simulated runs are deterministic, so these bands absorb *intentional*
 /// code-driven drift (a scheduler tweak, extra simulated CPU from new
 /// instrumentation), not measurement noise. Throughput is gated tighter
 /// than tail latency because the paper's claims are throughput-shaped.
+/// Time-to-detect and time-to-stabilize are gated multiplicatively plus
+/// a small absolute slack (one detector poll window of jitter is
+/// legitimate when event interleavings shift). Scenario throughput drift
+/// is only a note: the perf cells already own those numbers, and
+/// double-gating them would make every calibration change fail twice.
 #[derive(Debug, Clone, Copy)]
 pub struct Tolerance {
     /// Max allowed relative throughput drop (0.08 = −8%).
     pub throughput_drop: f64,
     /// Max allowed relative P99 rise (0.30 = +30%).
     pub p99_rise: f64,
+    /// Max allowed relative TTD rise (0.5 = +50%).
+    pub ttd_rise: f64,
+    /// Absolute TTD slack added on top, milliseconds.
+    pub ttd_slack_ms: f64,
+    /// Max allowed relative time-to-stabilize rise (0.5 = +50%).
+    pub tts_rise: f64,
+    /// Absolute TTS slack added on top, milliseconds.
+    pub tts_slack_ms: f64,
+    /// Relative scenario-throughput drift that earns a note.
+    pub throughput_note: f64,
 }
 
 impl Default for Tolerance {
@@ -524,7 +560,30 @@ impl Default for Tolerance {
         Tolerance {
             throughput_drop: 0.08,
             p99_rise: 0.30,
+            ttd_rise: 0.5,
+            ttd_slack_ms: 50.0,
+            tts_rise: 0.5,
+            tts_slack_ms: 50.0,
+            throughput_note: 0.10,
         }
+    }
+}
+
+impl std::fmt::Display for Tolerance {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "throughput −{:.0}%, p99 +{:.0}%, ttd ×{} +{:.0}ms, tts ×{} +{:.0}ms, \
+             liveness/crash/detection exact, zero new FP/FN/misattribution, \
+             scenario throughput ±{:.0}% noted",
+            self.throughput_drop * 100.0,
+            self.p99_rise * 100.0,
+            1.0 + self.ttd_rise,
+            self.ttd_slack_ms,
+            1.0 + self.tts_rise,
+            self.tts_slack_ms,
+            self.throughput_note * 100.0
+        )
     }
 }
 
@@ -546,292 +605,154 @@ impl GateOutcome {
     }
 }
 
-/// Diffs `current` against `baseline` cell by cell.
+/// Matches `base` cells to `cur` cells by key: a baseline cell missing
+/// from the current suite fails, a new cell is a note, and every matched
+/// pair goes through `check(base, cur, key, out)`.
+fn diff_cells<T>(
+    what: &str,
+    base: &[T],
+    cur: &[T],
+    key: impl Fn(&T) -> String,
+    out: &mut GateOutcome,
+    mut check: impl FnMut(&T, &T, &str, &mut GateOutcome),
+) {
+    for b in base {
+        let k = key(b);
+        match cur.iter().find(|c| key(c) == k) {
+            Some(c) => {
+                out.checked += 1;
+                check(b, c, &k, out);
+            }
+            None => out
+                .failures
+                .push(format!("[{k}] missing from current {what} cells")),
+        }
+    }
+    for c in cur {
+        let k = key(c);
+        if !base.iter().any(|b| key(b) == k) {
+            out.notes
+                .push(format!("[{k}] new {what} cell, not in baseline"));
+        }
+    }
+}
+
+/// Diffs `current` against `baseline` cell by cell, in every column group
+/// the suites carry (`runs`, `detect`, `scenarios`), under `tol`.
 ///
-/// A cell fails when its throughput drops more than
-/// [`Tolerance::throughput_drop`], its P99 rises more than
-/// [`Tolerance::p99_rise`], it crashes where the baseline did not, or it
-/// disappeared entirely. New cells and improvements are notes.
+/// - A run cell fails when its throughput drops more than
+///   `throughput_drop`, its P99 rises more than `p99_rise`, or it crashes
+///   where the baseline did not.
+/// - A detect cell fails on the shared detection checks: a lost
+///   detection, new false positives / negatives / misattributions, or a
+///   time-to-detect past `base × (1 + ttd_rise) + ttd_slack_ms` — a 2×
+///   detection-latency regression at realistic TTDs always trips this.
+/// - A scenario cell fails when its liveness verdict flips, it crashes
+///   where the baseline did not, on the shared detection checks, or —
+///   for storm-monitored cells — when its retry storm newly outlives the
+///   fault or its time-to-stabilize regresses past the TTS band.
+///
+/// In every group a baseline cell missing from `current` fails. New
+/// cells, improvements and scenario throughput drift are notes.
 pub fn compare(baseline: &Suite, current: &Suite, tol: &Tolerance) -> GateOutcome {
     let mut out = GateOutcome::default();
-    for base in &baseline.runs {
-        let key = base.key();
-        let Some(cur) = current.runs.iter().find(|r| {
-            r.driver == base.driver && r.fault == base.fault && r.cluster == base.cluster
-        }) else {
-            out.failures
-                .push(format!("[{key}] missing from current run"));
-            continue;
-        };
-        out.checked += 1;
-        if cur.crashed && !base.crashed {
-            out.failures
-                .push(format!("[{key}] crashed (baseline did not)"));
-            continue;
-        }
-        if base.crashed {
-            // Crash cells have no meaningful numbers; matching crash
-            // behavior is all the gate asks.
-            if !cur.crashed {
-                out.notes.push(format!("[{key}] no longer crashes"));
+    diff_cells(
+        "run",
+        &baseline.runs,
+        &current.runs,
+        RunRecord::key,
+        &mut out,
+        |base, cur, key, out| {
+            if cur.crashed && !base.crashed {
+                out.failures
+                    .push(format!("[{key}] crashed (baseline did not)"));
+                return;
             }
-            continue;
-        }
-        if base.throughput > 0.0 {
-            let rel = cur.throughput / base.throughput - 1.0;
-            if rel < -tol.throughput_drop {
+            if base.crashed {
+                // Crash cells have no meaningful numbers; matching crash
+                // behavior is all the gate asks.
+                if !cur.crashed {
+                    out.notes.push(format!("[{key}] no longer crashes"));
+                }
+                return;
+            }
+            if base.throughput > 0.0 {
+                let rel = cur.throughput / base.throughput - 1.0;
+                if rel < -tol.throughput_drop {
+                    out.failures.push(format!(
+                        "[{key}] throughput {:.0} → {:.0} req/s ({:+.1}%, tolerance −{:.0}%)",
+                        base.throughput,
+                        cur.throughput,
+                        rel * 100.0,
+                        tol.throughput_drop * 100.0
+                    ));
+                } else if rel > tol.throughput_drop {
+                    out.notes.push(format!(
+                        "[{key}] throughput improved {:+.1}% — consider refreshing the baseline",
+                        rel * 100.0
+                    ));
+                }
+            }
+            if base.p99_ms > 0.0 {
+                let rel = cur.p99_ms / base.p99_ms - 1.0;
+                if rel > tol.p99_rise {
+                    out.failures.push(format!(
+                        "[{key}] p99 {:.2} → {:.2} ms ({:+.1}%, tolerance +{:.0}%)",
+                        base.p99_ms,
+                        cur.p99_ms,
+                        rel * 100.0,
+                        tol.p99_rise * 100.0
+                    ));
+                }
+            }
+        },
+    );
+    diff_cells(
+        "detection",
+        &baseline.detect,
+        &current.detect,
+        DetectRecord::key,
+        &mut out,
+        |base, cur, key, out| {
+            cur.detection.check(&base.detection, key, tol, out);
+        },
+    );
+    diff_cells(
+        "scenario",
+        &baseline.scenarios,
+        &current.scenarios,
+        ScenarioRecord::key,
+        &mut out,
+        |base, cur, key, out| {
+            if base.live && !cur.live {
                 out.failures.push(format!(
-                    "[{key}] throughput {:.0} → {:.0} req/s ({:+.1}%, tolerance −{:.0}%)",
-                    base.throughput,
-                    cur.throughput,
-                    rel * 100.0,
-                    tol.throughput_drop * 100.0
+                    "[{key}] liveness verdict flipped: live → {}",
+                    if cur.crashed { "crashed" } else { "stalled" }
                 ));
-            } else if rel > tol.throughput_drop {
+            } else if !base.live && cur.live {
                 out.notes.push(format!(
-                    "[{key}] throughput improved {:+.1}% — consider refreshing the baseline",
-                    rel * 100.0
+                    "[{key}] now survives (baseline did not) — consider refreshing the baseline"
                 ));
             }
-        }
-        if base.p99_ms > 0.0 {
-            let rel = cur.p99_ms / base.p99_ms - 1.0;
-            if rel > tol.p99_rise {
-                out.failures.push(format!(
-                    "[{key}] p99 {:.2} → {:.2} ms ({:+.1}%, tolerance +{:.0}%)",
-                    base.p99_ms,
-                    cur.p99_ms,
-                    rel * 100.0,
-                    tol.p99_rise * 100.0
-                ));
+            if cur.crashed && !base.crashed {
+                out.failures
+                    .push(format!("[{key}] crashed (baseline did not)"));
             }
-        }
-    }
-    for cur in &current.runs {
-        let known = baseline
-            .runs
-            .iter()
-            .any(|b| b.driver == cur.driver && b.fault == cur.fault && b.cluster == cur.cluster);
-        if !known {
-            out.notes
-                .push(format!("[{}] new cell, not in baseline", cur.key()));
-        }
-    }
-    out
-}
-
-/// Allowed movement in detection quality before the gate fails a cell.
-///
-/// Time-to-detect is gated multiplicatively plus a small absolute slack
-/// (one detector poll window of jitter is legitimate when event
-/// interleavings shift); correctness counters — false positives,
-/// misattributions, lost detections — are gated at zero increase, because
-/// a detector that cries wolf or blames the wrong node is broken no
-/// matter how fast it is.
-#[derive(Debug, Clone, Copy)]
-pub struct DetectTolerance {
-    /// Max allowed relative TTD rise (0.5 = +50%).
-    pub ttd_rise: f64,
-    /// Absolute TTD slack added on top, milliseconds.
-    pub ttd_slack_ms: f64,
-}
-
-impl Default for DetectTolerance {
-    fn default() -> Self {
-        DetectTolerance {
-            ttd_rise: 0.5,
-            ttd_slack_ms: 50.0,
-        }
-    }
-}
-
-/// Diffs detection quality cell by cell.
-///
-/// A cell fails when it disappeared, lost a detection the baseline had,
-/// grew false positives / false negatives / misattributions, or its
-/// time-to-detect rose past `base × (1 + ttd_rise) + ttd_slack_ms` — a
-/// 2× detection-latency regression at realistic TTDs always trips this.
-/// New cells and TTD improvements are notes.
-pub fn compare_detection(baseline: &Suite, current: &Suite, tol: &DetectTolerance) -> GateOutcome {
-    let mut out = GateOutcome::default();
-    for base in &baseline.detect {
-        let key = base.key();
-        let Some(cur) = current.detect.iter().find(|r| {
-            r.driver == base.driver && r.fault == base.fault && r.cluster == base.cluster
-        }) else {
-            out.failures
-                .push(format!("[{key}] missing from current detection run"));
-            continue;
-        };
-        out.checked += 1;
-        if base.detected && !cur.detected {
-            out.failures
-                .push(format!("[{key}] fault no longer detected"));
-        }
-        if cur.false_positives > base.false_positives {
-            out.failures.push(format!(
-                "[{key}] false positives {} → {}",
-                base.false_positives, cur.false_positives
-            ));
-        }
-        if cur.false_negatives > base.false_negatives {
-            out.failures.push(format!(
-                "[{key}] false negatives {} → {}",
-                base.false_negatives, cur.false_negatives
-            ));
-        }
-        if cur.misattributions > base.misattributions {
-            out.failures.push(format!(
-                "[{key}] misattributions {} → {}",
-                base.misattributions, cur.misattributions
-            ));
-        }
-        if let (Some(b), Some(c)) = (base.ttd_ms, cur.ttd_ms) {
-            let limit = b * (1.0 + tol.ttd_rise) + tol.ttd_slack_ms;
-            if c > limit {
-                out.failures.push(format!(
-                    "[{key}] time-to-detect {b:.1} → {c:.1} ms (limit {limit:.1} ms)"
-                ));
-            } else if c < b * 0.5 {
-                out.notes.push(format!(
-                    "[{key}] time-to-detect improved {b:.1} → {c:.1} ms — consider refreshing the baseline"
-                ));
+            cur.detection.check(&base.detection, key, tol, out);
+            // Storm columns (present only for storm-monitored cells): a
+            // cell whose retry storm newly outlives its fault is a
+            // metastability regression; so is losing or slowing the
+            // stabilization the retry-budget mitigation used to deliver.
+            match (base.storm_sustained, cur.storm_sustained) {
+                (Some(false), Some(true)) => out.failures.push(format!(
+                    "[{key}] retry storm now sustained past fault clear (metastable)"
+                )),
+                (Some(true), Some(false)) => out.notes.push(format!(
+                    "[{key}] retry storm no longer sustained — consider refreshing the baseline"
+                )),
+                _ => {}
             }
-        }
-    }
-    for cur in &current.detect {
-        let known = baseline
-            .detect
-            .iter()
-            .any(|b| b.driver == cur.driver && b.fault == cur.fault && b.cluster == cur.cluster);
-        if !known {
-            out.notes.push(format!(
-                "[{}] new detection cell, not in baseline",
-                cur.key()
-            ));
-        }
-    }
-    out
-}
-
-/// Allowed movement in scenario-matrix outcomes before the gate fails.
-///
-/// Liveness verdicts, crashes, lost detections and the FP/FN/misattr
-/// counters are gated exactly (a survival flip is always a behavior
-/// change worth a look); time-to-detect follows the same
-/// multiplicative-plus-slack band as [`DetectTolerance`]. Raw
-/// throughput/floor drift is reported as notes only — the perf gates
-/// already own those numbers, and double-gating them here would make
-/// every calibration change fail twice.
-#[derive(Debug, Clone, Copy)]
-pub struct ScenarioTolerance {
-    /// Max allowed relative TTD rise (0.5 = +50%).
-    pub ttd_rise: f64,
-    /// Absolute TTD slack added on top, milliseconds.
-    pub ttd_slack_ms: f64,
-    /// Relative throughput drift that earns a note (not a failure).
-    pub throughput_note: f64,
-    /// Max allowed relative time-to-stabilize rise (0.5 = +50%).
-    pub tts_rise: f64,
-    /// Absolute TTS slack added on top, milliseconds.
-    pub tts_slack_ms: f64,
-}
-
-impl Default for ScenarioTolerance {
-    fn default() -> Self {
-        ScenarioTolerance {
-            ttd_rise: 0.5,
-            ttd_slack_ms: 50.0,
-            throughput_note: 0.10,
-            tts_rise: 0.5,
-            tts_slack_ms: 50.0,
-        }
-    }
-}
-
-/// Diffs scenario-matrix survival cells.
-///
-/// A cell fails when it disappeared, its liveness verdict flipped, it
-/// crashed where the baseline did not, it lost a detection, grew false
-/// positives / false negatives / misattributions, or its time-to-detect
-/// rose past `base × (1 + ttd_rise) + ttd_slack_ms`. Everything else —
-/// new cells, verdict improvements, throughput drift — is a note.
-pub fn compare_scenarios(
-    baseline: &Suite,
-    current: &Suite,
-    tol: &ScenarioTolerance,
-) -> GateOutcome {
-    let mut out = GateOutcome::default();
-    for base in &baseline.scenarios {
-        let key = base.key();
-        let Some(cur) = current
-            .scenarios
-            .iter()
-            .find(|r| r.scenario == base.scenario && r.driver == base.driver)
-        else {
-            out.failures
-                .push(format!("[{key}] missing from current matrix"));
-            continue;
-        };
-        out.checked += 1;
-        if base.live && !cur.live {
-            out.failures.push(format!(
-                "[{key}] liveness verdict flipped: live → {}",
-                if cur.crashed { "crashed" } else { "stalled" }
-            ));
-        } else if !base.live && cur.live {
-            out.notes.push(format!(
-                "[{key}] now survives (baseline did not) — consider refreshing the baseline"
-            ));
-        }
-        if cur.crashed && !base.crashed {
-            out.failures
-                .push(format!("[{key}] crashed (baseline did not)"));
-        }
-        if base.detected && !cur.detected {
-            out.failures
-                .push(format!("[{key}] fault no longer detected"));
-        }
-        if cur.false_positives > base.false_positives {
-            out.failures.push(format!(
-                "[{key}] false positives {} → {}",
-                base.false_positives, cur.false_positives
-            ));
-        }
-        if cur.false_negatives > base.false_negatives {
-            out.failures.push(format!(
-                "[{key}] false negatives {} → {}",
-                base.false_negatives, cur.false_negatives
-            ));
-        }
-        if cur.misattributions > base.misattributions {
-            out.failures.push(format!(
-                "[{key}] misattributions {} → {}",
-                base.misattributions, cur.misattributions
-            ));
-        }
-        if let (Some(b), Some(c)) = (base.ttd_ms, cur.ttd_ms) {
-            let limit = b * (1.0 + tol.ttd_rise) + tol.ttd_slack_ms;
-            if c > limit {
-                out.failures.push(format!(
-                    "[{key}] time-to-detect {b:.1} → {c:.1} ms (limit {limit:.1} ms)"
-                ));
-            }
-        }
-        // Storm columns (present only for storm-monitored cells): a
-        // cell whose retry storm newly outlives its fault is a
-        // metastability regression; so is losing or slowing the
-        // stabilization the retry-budget mitigation used to deliver.
-        match (base.storm_sustained, cur.storm_sustained) {
-            (Some(false), Some(true)) => out.failures.push(format!(
-                "[{key}] retry storm now sustained past fault clear (metastable)"
-            )),
-            (Some(true), Some(false)) => out.notes.push(format!(
-                "[{key}] retry storm no longer sustained — consider refreshing the baseline"
-            )),
-            _ => {}
-        }
-        match (base.tts_ms, cur.tts_ms) {
+            match (base.tts_ms, cur.tts_ms) {
             (Some(b), Some(c)) => {
                 let limit = b * (1.0 + tol.tts_rise) + tol.tts_slack_ms;
                 if c > limit {
@@ -850,28 +771,19 @@ pub fn compare_scenarios(
             )),
             _ => {}
         }
-        if base.throughput > 0.0 {
-            let rel = cur.throughput / base.throughput - 1.0;
-            if rel.abs() > tol.throughput_note {
-                out.notes.push(format!(
-                    "[{key}] throughput {:.0} → {:.0} op/s ({:+.1}%)",
-                    base.throughput,
-                    cur.throughput,
-                    rel * 100.0
-                ));
+            if base.throughput > 0.0 {
+                let rel = cur.throughput / base.throughput - 1.0;
+                if rel.abs() > tol.throughput_note {
+                    out.notes.push(format!(
+                        "[{key}] throughput {:.0} → {:.0} op/s ({:+.1}%)",
+                        base.throughput,
+                        cur.throughput,
+                        rel * 100.0
+                    ));
+                }
             }
-        }
-    }
-    for cur in &current.scenarios {
-        let known = baseline
-            .scenarios
-            .iter()
-            .any(|b| b.scenario == cur.scenario && b.driver == cur.driver);
-        if !known {
-            out.notes
-                .push(format!("[{}] new matrix cell, not in baseline", cur.key()));
-        }
-    }
+        },
+    );
     out
 }
 
@@ -989,13 +901,13 @@ mod tests {
             driver: driver.into(),
             fault: fault.into(),
             cluster: "3x64".into(),
-            detected: ttd_ms.is_some(),
-            ttd_ms,
-            ttm_ms: ttd_ms.map(|v| v + 50.0),
-            ttr_ms: ttd_ms.map(|v| v + 500.0),
-            false_positives: 0,
-            false_negatives: 0,
-            misattributions: 0,
+            detection: Detection {
+                detected: ttd_ms.is_some(),
+                ttd_ms,
+                ttm_ms: ttd_ms.map(|v| v + 50.0),
+                ttr_ms: ttd_ms.map(|v| v + 500.0),
+                ..Detection::default()
+            },
         }
     }
 
@@ -1015,7 +927,7 @@ mod tests {
         let back = Suite::parse(&text).unwrap();
         assert_eq!(back, with);
         // Absent optional times stay absent.
-        assert!(back.detect[1].ttd_ms.is_none());
+        assert!(back.detect[1].detection.ttd_ms.is_none());
         // A suite without detect cells serializes exactly as before the
         // field existed (no empty "detect" array).
         let plain = suite(vec![record("d", "none", 5000.0, 8.0)]);
@@ -1025,7 +937,7 @@ mod tests {
     #[test]
     fn identical_detection_passes_the_gate() {
         let s = detect_suite(vec![detect_record("d", "Disk Slowness", Some(400.0))]);
-        let out = compare_detection(&s, &s, &DetectTolerance::default());
+        let out = compare(&s, &s, &Tolerance::default());
         assert!(out.passed(), "{:?}", out.failures);
         assert_eq!(out.checked, 1);
     }
@@ -1034,7 +946,7 @@ mod tests {
     fn doubled_time_to_detect_fails() {
         let base = detect_suite(vec![detect_record("d", "Disk Slowness", Some(400.0))]);
         let cur = detect_suite(vec![detect_record("d", "Disk Slowness", Some(800.0))]);
-        let out = compare_detection(&base, &cur, &DetectTolerance::default());
+        let out = compare(&base, &cur, &Tolerance::default());
         assert!(!out.passed());
         assert!(
             out.failures[0].contains("time-to-detect"),
@@ -1047,11 +959,11 @@ mod tests {
     fn new_false_positive_and_misattribution_fail() {
         let base = detect_suite(vec![detect_record("d", "none", None)]);
         let mut fp = detect_record("d", "none", None);
-        fp.false_positives = 1;
-        let out = compare_detection(
+        fp.detection.false_positives = 1;
+        let out = compare(
             &detect_suite(vec![base.detect[0].clone()]),
             &detect_suite(vec![fp]),
-            &DetectTolerance::default(),
+            &Tolerance::default(),
         );
         assert!(!out.passed());
         assert!(
@@ -1062,12 +974,8 @@ mod tests {
 
         let base2 = detect_suite(vec![detect_record("d", "Disk Slowness", Some(400.0))]);
         let mut mis = detect_record("d", "Disk Slowness", Some(400.0));
-        mis.misattributions = 1;
-        let out2 = compare_detection(
-            &base2,
-            &detect_suite(vec![mis]),
-            &DetectTolerance::default(),
-        );
+        mis.detection.misattributions = 1;
+        let out2 = compare(&base2, &detect_suite(vec![mis]), &Tolerance::default());
         assert!(!out2.passed());
         assert!(
             out2.failures[0].contains("misattributions"),
@@ -1080,19 +988,15 @@ mod tests {
     fn lost_detection_and_missing_cell_fail() {
         let base = detect_suite(vec![detect_record("d", "Disk Slowness", Some(400.0))]);
         let mut lost = detect_record("d", "Disk Slowness", Some(400.0));
-        lost.detected = false;
-        lost.false_negatives = 1;
-        let out = compare_detection(
-            &base,
-            &detect_suite(vec![lost]),
-            &DetectTolerance::default(),
-        );
+        lost.detection.detected = false;
+        lost.detection.false_negatives = 1;
+        let out = compare(&base, &detect_suite(vec![lost]), &Tolerance::default());
         assert!(!out.passed());
         assert!(out
             .failures
             .iter()
             .any(|f| f.contains("no longer detected")));
-        let out2 = compare_detection(&base, &detect_suite(vec![]), &DetectTolerance::default());
+        let out2 = compare(&base, &detect_suite(vec![]), &Tolerance::default());
         assert!(out2.failures.iter().any(|f| f.contains("missing")));
     }
 
@@ -1103,7 +1007,7 @@ mod tests {
             detect_record("d", "Disk Slowness", Some(150.0)),
             detect_record("d", "CPU Slowness", Some(300.0)),
         ]);
-        let out = compare_detection(&base, &cur, &DetectTolerance::default());
+        let out = compare(&base, &cur, &Tolerance::default());
         assert!(out.passed(), "{:?}", out.failures);
         assert_eq!(out.notes.len(), 2, "{:?}", out.notes);
     }
@@ -1118,13 +1022,13 @@ mod tests {
             floor: 800.0,
             p99_ms: 25.0,
             stall_ms: 200.0,
-            detected: true,
-            ttd_ms: Some(400.0),
-            ttm_ms: Some(450.0),
-            ttr_ms: Some(900.0),
-            false_positives: 0,
-            false_negatives: 0,
-            misattributions: 0,
+            detection: Detection {
+                detected: true,
+                ttd_ms: Some(400.0),
+                ttm_ms: Some(450.0),
+                ttr_ms: Some(900.0),
+                ..Detection::default()
+            },
             tts_ms: None,
             storm_sustained: None,
             amp: None,
@@ -1166,7 +1070,7 @@ mod tests {
     #[test]
     fn identical_scenario_matrix_passes_the_gate() {
         let s = scenario_suite(vec![scenario_record("disk-slow-follower", "d", true)]);
-        let out = compare_scenarios(&s, &s, &ScenarioTolerance::default());
+        let out = compare(&s, &s, &Tolerance::default());
         assert!(out.passed(), "{:?}", out.failures);
         assert_eq!(out.checked, 1);
     }
@@ -1176,11 +1080,7 @@ mod tests {
         let base = scenario_suite(vec![scenario_record("partial-partition", "d", true)]);
         let mut flipped = scenario_record("partial-partition", "d", false);
         flipped.stall_ms = 3000.0;
-        let out = compare_scenarios(
-            &base,
-            &scenario_suite(vec![flipped]),
-            &ScenarioTolerance::default(),
-        );
+        let out = compare(&base, &scenario_suite(vec![flipped]), &Tolerance::default());
         assert!(!out.passed());
         assert!(
             out.failures[0].contains("liveness verdict flipped"),
@@ -1193,12 +1093,8 @@ mod tests {
     fn doubled_scenario_ttd_fails_the_gate() {
         let base = scenario_suite(vec![scenario_record("disk-slow-follower", "d", true)]);
         let mut slow = scenario_record("disk-slow-follower", "d", true);
-        slow.ttd_ms = Some(800.0);
-        let out = compare_scenarios(
-            &base,
-            &scenario_suite(vec![slow]),
-            &ScenarioTolerance::default(),
-        );
+        slow.detection.ttd_ms = Some(800.0);
+        let out = compare(&base, &scenario_suite(vec![slow]), &Tolerance::default());
         assert!(!out.passed());
         assert!(
             out.failures[0].contains("time-to-detect"),
@@ -1211,18 +1107,10 @@ mod tests {
     fn new_scenario_misattribution_fails_and_missing_cell_fails() {
         let base = scenario_suite(vec![scenario_record("leader-cpu-slow", "d", true)]);
         let mut mis = scenario_record("leader-cpu-slow", "d", true);
-        mis.misattributions = 1;
-        let out = compare_scenarios(
-            &base,
-            &scenario_suite(vec![mis]),
-            &ScenarioTolerance::default(),
-        );
+        mis.detection.misattributions = 1;
+        let out = compare(&base, &scenario_suite(vec![mis]), &Tolerance::default());
         assert!(out.failures.iter().any(|f| f.contains("misattributions")));
-        let out2 = compare_scenarios(
-            &base,
-            &scenario_suite(vec![]),
-            &ScenarioTolerance::default(),
-        );
+        let out2 = compare(&base, &scenario_suite(vec![]), &Tolerance::default());
         assert!(out2.failures.iter().any(|f| f.contains("missing")));
     }
 
@@ -1231,11 +1119,7 @@ mod tests {
         let base = scenario_suite(vec![scenario_record("ramp-net-follower", "d", true)]);
         let mut slower = scenario_record("ramp-net-follower", "d", true);
         slower.throughput = 2000.0;
-        let out = compare_scenarios(
-            &base,
-            &scenario_suite(vec![slower]),
-            &ScenarioTolerance::default(),
-        );
+        let out = compare(&base, &scenario_suite(vec![slower]), &Tolerance::default());
         assert!(out.passed(), "{:?}", out.failures);
         assert_eq!(out.notes.len(), 1, "{:?}", out.notes);
     }
@@ -1263,11 +1147,7 @@ mod tests {
         let mut flipped = storm_record("retry-storm-budget");
         flipped.storm_sustained = Some(true);
         flipped.tts_ms = None;
-        let out = compare_scenarios(
-            &base,
-            &scenario_suite(vec![flipped]),
-            &ScenarioTolerance::default(),
-        );
+        let out = compare(&base, &scenario_suite(vec![flipped]), &Tolerance::default());
         assert!(!out.passed());
         assert!(
             out.failures.iter().any(|f| f.contains("sustained")),
@@ -1288,11 +1168,7 @@ mod tests {
         let base = scenario_suite(vec![storm_record("retry-storm-budget")]);
         let mut slower = storm_record("retry-storm-budget");
         slower.tts_ms = Some(1600.0);
-        let out = compare_scenarios(
-            &base,
-            &scenario_suite(vec![slower]),
-            &ScenarioTolerance::default(),
-        );
+        let out = compare(&base, &scenario_suite(vec![slower]), &Tolerance::default());
         assert!(!out.passed());
         assert!(
             out.failures.iter().any(|f| f.contains("time-to-stabilize")),
@@ -1307,13 +1183,40 @@ mod tests {
         let mut healed = sustained_base.clone();
         healed.storm_sustained = Some(false);
         healed.tts_ms = Some(500.0);
-        let out = compare_scenarios(
+        let out = compare(
             &scenario_suite(vec![sustained_base]),
             &scenario_suite(vec![healed]),
-            &ScenarioTolerance::default(),
+            &Tolerance::default(),
         );
         assert!(out.passed(), "{:?}", out.failures);
         assert!(out.notes.len() >= 2, "{:?}", out.notes);
+    }
+
+    #[test]
+    fn tolerance_defaults_are_pinned() {
+        let t = Tolerance::default();
+        assert_eq!(
+            (t.throughput_drop, t.p99_rise, t.throughput_note),
+            (0.08, 0.30, 0.10)
+        );
+        assert_eq!((t.ttd_rise, t.ttd_slack_ms), (0.5, 50.0));
+        assert_eq!((t.tts_rise, t.tts_slack_ms), (0.5, 50.0));
+    }
+
+    #[test]
+    fn one_compare_gates_every_column_group() {
+        let mut base = suite(vec![record("d", "none", 5000.0, 8.0)]);
+        base.detect = vec![detect_record("d", "Disk Slowness", Some(400.0))];
+        base.scenarios = vec![scenario_record("partial-partition", "d", true)];
+        let out = compare(&base, &base, &Tolerance::default());
+        assert!(out.passed(), "{:?}", out.failures);
+        assert_eq!(out.checked, 3);
+        // Runs and detection cells match; only the scenario row flips.
+        let mut cur = base.clone();
+        cur.scenarios[0].live = false;
+        let out = compare(&base, &cur, &Tolerance::default());
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        assert!(out.failures[0].contains("liveness verdict flipped"));
     }
 
     #[test]

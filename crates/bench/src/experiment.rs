@@ -1,46 +1,115 @@
-//! One fault-injection experiment, following the paper's methodology
-//! (§2.1): build a cluster, drive a YCSB update workload with enough
-//! concurrent clients to load the leader to ~75% CPU, inject one fault
-//! before the measurement window, report throughput / mean / P99.
+//! The experiment harness, following the paper's methodology (§2.1):
+//! build a cluster, arm the requested observers and faults, drive a YCSB
+//! update workload with enough concurrent clients to load the leader to
+//! ~75% CPU, and hand back everything the run recorded.
+//!
+//! [`RunCfg`] is plain data — cluster [`Shape`], workload scale, Raft
+//! tuning, a fault plan of [`Window`]s and load [`Trigger`]s, and the
+//! observer set — and [`run`] is the only place a cluster is built and a
+//! workload driven. Every figure, gate and scenario cell goes through
+//! it, so a new observer or column is one edit here. The post-processing
+//! those consumers share (rate series, incident dumps and their
+//! per-group split) lives on [`RunOutput`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use depfast_detect::{DetectorCfg, FailSlowDetector};
+use depfast::{HealthEvent, TraceRecord};
+use depfast_detect::{AmpSample, DetectorCfg, FailSlowDetector, StormCfg, StormMonitor};
 use depfast_fault::{FaultKind, FaultLedger};
 use depfast_incident::IncidentDump;
-use depfast_kv::KvCluster;
-use depfast_metrics::{Key, MetricsRegistry, Sampler};
+use depfast_kv::{KvCluster, RetryPolicy, ShardedKvCluster};
+use depfast_metrics::{group_label, Key, MetricsRegistry, Sampler};
 use depfast_profile::Profiler;
 use depfast_raft::cluster::RaftKind;
 use depfast_raft::core::RaftCfg;
 use depfast_storage::{LogStoreCfg, WalCfg};
-use depfast_ycsb::driver::{run_workload, DriverCfg, RunStats};
+use depfast_ycsb::driver::{run_workload, run_workload_sharded, DriverCfg, GroupStats, RunStats};
 use depfast_ycsb::workload::WorkloadSpec;
 use simkit::{MemCfg, NodeId, Sim, World, WorldCfg};
 
-/// Which node(s) receive the fault.
-#[derive(Debug, Clone)]
-pub enum FaultTarget {
-    /// No fault (baseline).
-    None,
-    /// Specific follower nodes (the leader is always node 0 here).
-    Followers(Vec<u32>),
+/// Cluster shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// One Raft group (the leader is node 0).
+    Single {
+        /// Replicas.
+        servers: usize,
+    },
+    /// Raft groups striped over shared server nodes, with the YCSB
+    /// keyspace hash-partitioned across them and a shard-aware client
+    /// per host.
+    Sharded {
+        /// Number of Raft groups.
+        groups: usize,
+        /// Server nodes the groups are striped over.
+        nodes: usize,
+        /// Replicas per group.
+        group_size: usize,
+    },
 }
 
-/// Full experiment configuration.
+impl Shape {
+    /// Server nodes in the world (each client gets a host node on top).
+    pub fn server_nodes(&self) -> usize {
+        match *self {
+            Shape::Single { servers } => servers,
+            Shape::Sharded { nodes, .. } => nodes,
+        }
+    }
+
+    /// `"{groups}g{nodes}n"` for a sharded cluster, `"{servers}_nodes"`
+    /// for one group — the cluster discriminator used in suite cells.
+    pub fn label(&self) -> String {
+        match *self {
+            Shape::Single { servers } => format!("{servers}_nodes"),
+            Shape::Sharded { groups, nodes, .. } => format!("{groups}g{nodes}n"),
+        }
+    }
+}
+
+/// One concrete injection window: `kind` on `node` from `at` (offset from
+/// run start) for `duration` (`None` = the rest of the run).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Window {
+    /// Node the fault lands on (a server node index).
+    pub node: u32,
+    /// Fault applied for this window.
+    pub kind: FaultKind,
+    /// Onset offset from run start.
+    pub at: Duration,
+    /// Active span (`None` = rest of the run).
+    pub duration: Option<Duration>,
+}
+
+/// A load-conditioned injection, armed as a commit-index watch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Trigger {
+    /// Fires when the cluster's max commit index first reaches this.
+    pub commits: u64,
+    /// Nodes the fault then lands on.
+    pub nodes: Vec<u32>,
+    /// Fault applied.
+    pub kind: FaultKind,
+    /// Active span once fired.
+    pub duration: Duration,
+}
+
+/// Full experiment configuration: plain data, defaulting to the paper's
+/// 3-node, 256-client DepFastRaft operating point with no fault and no
+/// observers.
 #[derive(Debug, Clone)]
-pub struct ExperimentCfg {
-    /// Raft driver under test.
+pub struct RunCfg {
+    /// Raft driver under test (every group runs the same driver).
     pub kind: RaftKind,
-    /// Cluster size.
-    pub n_servers: usize,
-    /// Concurrent closed-loop clients.
-    pub n_clients: usize,
+    /// Cluster shape.
+    pub shape: Shape,
+    /// Concurrent closed-loop clients, each on its own host node.
+    pub clients: usize,
     /// Determinism seed.
     pub seed: u64,
-    /// Warm-up excluded from stats (fault injects at its midpoint).
+    /// Warm-up excluded from stats.
     pub warmup: Duration,
     /// Measurement window.
     pub measure: Duration,
@@ -48,72 +117,74 @@ pub struct ExperimentCfg {
     pub records: u64,
     /// YCSB value bytes.
     pub value_size: usize,
-    /// Fault to inject, if any.
-    pub fault: Option<(FaultTarget, FaultKind)>,
-    /// When the fault injects, as an offset from run start (`None` =
-    /// the historical default, midway through the warm-up). Incident
-    /// experiments set this past the detector's warm-up windows so the
-    /// baseline is established before the fault lands.
-    pub fault_at: Option<Duration>,
-    /// How long the fault stays active (`None` = the remainder of the
-    /// run, which is how every Table 1 experiment runs).
-    pub fault_duration: Option<Duration>,
-    /// Override of [`bench_raft_cfg`]'s `batch_max` (group-commit batch
-    /// cap; `None` = keep the calibrated value).
-    pub batch_max: Option<usize>,
-    /// Override of the group-commit linger window.
-    pub batch_window: Option<Duration>,
-    /// Override of the replication pipeline depth.
-    pub pipeline_depth: Option<usize>,
-    /// Override of the per-follower in-flight append window.
-    pub append_window: Option<usize>,
+    /// Raft tuning for every replica.
+    pub raft: RaftCfg,
+    /// Time-scheduled fault windows.
+    pub faults: Vec<Window>,
+    /// Load-conditioned faults.
+    pub triggers: Vec<Trigger>,
+    /// Sample the metric registry on this virtual-clock grid (`None` =
+    /// no sampling).
+    pub sample_every: Option<Duration>,
+    /// Collect every causal trace record.
+    pub trace: bool,
+    /// Install a wait-state [`Profiler`] for the whole run. Probes are
+    /// synchronous, so profiling never changes the simulated results.
+    pub profile: bool,
+    /// Spawn a [`FailSlowDetector`] with this tuning.
+    pub detector: Option<DetectorCfg>,
+    /// Arm the detector-driven leader demotion/campaign mitigation
+    /// (requires `detector`).
+    pub mitigate_leader: bool,
+    /// Tick a [`StormMonitor`] right before each sampler row (requires
+    /// `sample_every`).
+    pub storm: bool,
+    /// Retry policy installed on every client session.
+    pub retry: Option<RetryPolicy>,
 }
 
-impl Default for ExperimentCfg {
+impl Default for RunCfg {
     fn default() -> Self {
-        ExperimentCfg {
+        RunCfg {
             kind: RaftKind::DepFast,
-            n_servers: 3,
-            n_clients: 256,
+            shape: Shape::Single { servers: 3 },
+            clients: 256,
             seed: 20210531, // HotOS '21 opening day.
             warmup: Duration::from_secs(2),
             measure: Duration::from_secs(10),
             records: 500_000,
             value_size: 1000,
-            fault: None,
-            fault_at: None,
-            fault_duration: None,
-            batch_max: None,
-            batch_window: None,
-            pipeline_depth: None,
-            append_window: None,
+            raft: bench_raft_cfg(),
+            faults: Vec::new(),
+            triggers: Vec::new(),
+            sample_every: None,
+            trace: false,
+            profile: false,
+            detector: None,
+            mitigate_leader: false,
+            storm: false,
+            retry: None,
         }
     }
 }
 
-impl ExperimentCfg {
-    /// The first `k` followers of a 0-led cluster.
-    pub fn followers(k: usize) -> FaultTarget {
-        FaultTarget::Followers((1..=k as u32).collect())
+impl RunCfg {
+    /// Adds `kind` on each of `nodes` from midway through the warm-up to
+    /// the end of the run — the Table 1 protocol. Set `warmup` first.
+    pub fn with_fault(mut self, nodes: impl IntoIterator<Item = u32>, kind: FaultKind) -> Self {
+        let at = self.warmup / 2;
+        self.faults.extend(nodes.into_iter().map(|node| Window {
+            node,
+            kind,
+            at,
+            duration: None,
+        }));
+        self
     }
 
-    /// [`bench_raft_cfg`] with this experiment's batching/pipelining
-    /// overrides applied.
-    pub fn raft_cfg(&self) -> RaftCfg {
-        let mut rc = bench_raft_cfg();
-        if let Some(v) = self.batch_max {
-            rc.batch_max = v;
-        }
-        if let Some(v) = self.batch_window {
-            rc.batch_window = v;
-        }
-        if let Some(v) = self.pipeline_depth {
-            rc.pipeline_depth = v;
-        }
-        if let Some(v) = self.append_window {
-            rc.append_window = v;
-        }
-        rc
+    /// Name of the first planned fault window, `"none"` without one.
+    pub fn fault_name(&self) -> &'static str {
+        self.faults.first().map_or("none", |w| w.kind.name())
     }
 }
 
@@ -169,255 +240,365 @@ pub fn mem_contention_limit() -> u64 {
     2 * 1024 * 1024 * 1024 + 200 * 1024 * 1024
 }
 
-/// The full record of an instrumented experiment: client-visible
-/// statistics plus everything the observability layer captured.
-pub struct ExperimentRun {
-    /// Client-side workload statistics (same as [`run_experiment`]).
+/// Sampling interval for incident experiments' throughput series, and
+/// the poll period of load triggers.
+pub const INCIDENT_SAMPLE_EVERY: Duration = Duration::from_millis(100);
+
+/// Everything one run recorded.
+pub struct RunOutput {
+    /// Client-side workload statistics (the aggregate when sharded).
     pub stats: RunStats,
+    /// Per-group statistics, indexed by `gid - 1` (empty for one group).
+    pub groups: Vec<GroupStats>,
+    /// Replica sets, indexed by `gid - 1` (empty for one group).
+    pub members: Vec<Vec<NodeId>>,
     /// The cluster-shared registry with final cumulative values for
     /// every `sim.*` / `rpc.*` / `event.*` / `raft.*` series.
     pub metrics: MetricsRegistry,
-    /// Interval-aligned time series sampled over the run (empty when
-    /// the run was not sampled).
+    /// Interval-aligned time series (empty when the run was not sampled).
     pub sampler: Sampler,
-    /// Every health-state transition recorded during the run (always on;
-    /// empty for a healthy run with no detector installed).
-    pub health: Vec<depfast::HealthEvent>,
-}
-
-/// The result of an incident-instrumented experiment: client statistics
-/// plus the fully joined incident dump (ground-truth ledger, reaction
-/// timeline, throughput series), canonicalized and ready for scoring,
-/// reporting, or serialization.
-pub struct IncidentRun {
-    /// Client-side workload statistics (same as [`run_experiment`]).
-    pub stats: RunStats,
-    /// The joined incident record of the run.
-    pub dump: IncidentDump,
-}
-
-/// The result of a fully traced experiment.
-pub struct TracedRun {
-    /// Client-side workload statistics (same as [`run_experiment`]).
-    pub stats: RunStats,
-    /// Every trace record the ring buffer retained.
-    pub records: Vec<depfast::TraceRecord>,
+    /// Every health-state transition recorded during the run.
+    pub health: Vec<HealthEvent>,
+    /// Health events lost at the tracer's capacity cap.
+    pub health_dropped: u64,
+    /// Every trace record the ring buffer retained (empty unless traced).
+    pub trace: Vec<TraceRecord>,
     /// Records the ring buffer had to drop (`trace.dropped`). Nonzero
-    /// means blame percentages are computed from a truncated stream —
-    /// figure binaries print a warning when they see this.
-    pub dropped: u64,
+    /// means blame percentages come from a truncated stream.
+    pub trace_dropped: u64,
+    /// The wait-state profile over the whole run, warm-up included.
+    pub profiler: Option<Profiler>,
+    /// Ground truth: every injected fault, with onset and clear times.
+    pub ledger: FaultLedger,
+    /// The retry-amplification series (empty unless storm-monitored).
+    pub storm: Vec<AmpSample>,
 }
 
-/// The result of a profiled experiment.
-pub struct ProfiledRun {
-    /// Client-side workload statistics (same as [`run_experiment`]).
-    pub stats: RunStats,
-    /// The wait-state profile accumulated over the whole run (warm-up
-    /// included), ready for folded/SVG export.
-    pub profiler: Profiler,
+/// The cluster under test, in either shape.
+enum Cluster {
+    Single(Rc<KvCluster>),
+    Sharded(Rc<ShardedKvCluster>),
 }
 
-/// Runs one experiment end to end and returns its statistics.
-pub fn run_experiment(cfg: &ExperimentCfg) -> RunStats {
-    run(cfg, None, None, None, None).stats
-}
-
-/// Like [`run_experiment`], but additionally samples the cluster's
-/// metric registry every `sample_every` of virtual time and returns the
-/// registry plus the recorded time series, ready for CSV export.
-pub fn run_experiment_instrumented(cfg: &ExperimentCfg, sample_every: Duration) -> ExperimentRun {
-    run(cfg, Some(sample_every), None, None, None)
-}
-
-/// Sampling interval for incident experiments' throughput series.
-pub const INCIDENT_SAMPLE_EVERY: Duration = Duration::from_millis(100);
-
-/// Like [`run_experiment`], but incident-instrumented: faults are
-/// journaled into a ground-truth [`FaultLedger`], a [`FailSlowDetector`]
-/// with `dcfg` watches the cluster's RPC aggregates, and the run's
-/// health-event timeline and commit-throughput series are joined into an
-/// [`IncidentDump`] ready for the scorecard. Deterministic: same-seed
-/// calls return identical dumps.
-pub fn run_experiment_incident(cfg: &ExperimentCfg, dcfg: DetectorCfg) -> IncidentRun {
-    let ledger = FaultLedger::new();
-    let run = run(
-        cfg,
-        Some(INCIDENT_SAMPLE_EVERY),
-        None,
-        None,
-        Some((&ledger, dcfg)),
-    );
-    // Commit throughput per interval: the cluster-wide max of the
-    // `raft.commit_index` gauge (leadership may move) differenced across
-    // consecutive sample rows.
-    let mut throughput = Vec::new();
-    let mut prev: Option<(u64, i128)> = None;
-    for row in run.sampler.rows() {
-        let commit = row
-            .values
-            .iter()
-            .filter(|(k, _)| k.name == "raft.commit_index")
-            .map(|(_, v)| v.scalar())
-            .max()
-            .unwrap_or(0);
-        if let Some((pt, pc)) = prev {
-            let dt = row.t_ns.saturating_sub(pt);
-            if dt > 0 {
-                let ops = (commit - pc).max(0) as f64 / (dt as f64 / 1e9);
-                throughput.push((row.t_ns, ops));
-            }
-        }
-        prev = Some((row.t_ns, commit));
-    }
-    let mut dump = IncidentDump {
-        driver: cfg.kind.name().to_string(),
-        fault: cfg
-            .fault
-            .as_ref()
-            .map_or_else(|| "none".to_string(), |(_, k)| k.name().to_string()),
-        cluster: format!("{}x{}", cfg.n_servers, cfg.n_clients),
-        seed: cfg.seed,
-        faults: ledger.records().iter().map(Into::into).collect(),
-        events: run.health.into_iter().map(Into::into).collect(),
-        throughput,
-        end_ns: (cfg.warmup + cfg.measure).as_nanos() as u64,
-        health_dropped: run
-            .metrics
-            .counter(Key::global("trace.health_dropped"))
-            .get(),
-    };
-    dump.canonicalize();
-    IncidentRun {
-        stats: run.stats,
-        dump,
-    }
-}
-
-/// Like [`run_experiment`], but with full causal tracing enabled for the
-/// whole run: returns the statistics plus every trace record collected,
-/// ready for [`depfast_trace_analysis`]'s blame report or Chrome export.
-/// The run is deterministic, so same-seed calls return identical record
-/// streams.
-pub fn run_experiment_traced(cfg: &ExperimentCfg) -> TracedRun {
-    let records = Rc::new(RefCell::new(Vec::new()));
-    let run = run(cfg, None, Some(records.clone()), None, None);
-    TracedRun {
-        stats: run.stats,
-        records: records.take(),
-        dropped: run.metrics.counter(Key::global("trace.dropped")).get(),
-    }
-}
-
-/// Like [`run_experiment`], but with a wait-state [`Profiler`] installed
-/// for the whole run. Profiling taps synchronous probes only — it never
-/// creates events or touches the virtual clock — so the returned
-/// statistics are identical to an unprofiled run of the same config
-/// (asserted by the `profiler_determinism` integration test).
-pub fn run_experiment_profiled(cfg: &ExperimentCfg) -> ProfiledRun {
-    let profiler = Profiler::new(cfg.kind.name());
-    let stats = run(cfg, None, None, Some(&profiler), None).stats;
-    ProfiledRun { stats, profiler }
-}
-
-fn run(
-    cfg: &ExperimentCfg,
-    sample_every: Option<Duration>,
-    trace_into: Option<Rc<RefCell<Vec<depfast::TraceRecord>>>>,
-    profiler: Option<&Profiler>,
-    incident: Option<(&FaultLedger, DetectorCfg)>,
-) -> ExperimentRun {
+/// Runs one experiment end to end. Deterministic: same config, same
+/// output, byte for byte.
+///
+/// Arm order is cluster → retry policy → sampler → detector →
+/// mitigation → faults → triggers → workload, whatever subset is asked
+/// for: spawn order is part of the deterministic schedule.
+pub fn run(cfg: &RunCfg) -> RunOutput {
     // Runs must not inherit a causal context left in the ambient slot by
     // an earlier experiment in the same process: traces would differ.
     depfast::set_trace_ctx(None);
     let sim = Sim::new(cfg.seed);
-    let world = World::new(sim.clone(), bench_world_cfg(cfg.n_servers + cfg.n_clients));
+    let world = World::new(
+        sim.clone(),
+        bench_world_cfg(cfg.shape.server_nodes() + cfg.clients),
+    );
     let metrics = world.metrics();
-    let cluster = Rc::new(KvCluster::build_tuned(
-        &sim,
-        &world,
-        cfg.kind,
-        cfg.n_servers,
-        cfg.n_clients,
-        cfg.raft_cfg(),
-        bench_serve_cpu(),
-    ));
-    if trace_into.is_some() {
-        cluster.raft.tracer.set_record_full(true);
+    let cluster = match cfg.shape {
+        Shape::Single { servers } => Cluster::Single(Rc::new(KvCluster::build_tuned(
+            &sim,
+            &world,
+            cfg.kind,
+            servers,
+            cfg.clients,
+            cfg.raft,
+            bench_serve_cpu(),
+        ))),
+        Shape::Sharded {
+            groups,
+            nodes,
+            group_size,
+        } => Cluster::Sharded(Rc::new(ShardedKvCluster::build_tuned(
+            &sim,
+            &world,
+            cfg.kind,
+            groups,
+            nodes,
+            group_size,
+            cfg.clients,
+            cfg.raft,
+            bench_serve_cpu(),
+        ))),
+    };
+    let tracer = match &cluster {
+        Cluster::Single(c) => c.raft.tracer.clone(),
+        Cluster::Sharded(c) => c.raft.tracer.clone(),
+    };
+    if let Some(policy) = cfg.retry {
+        match &cluster {
+            Cluster::Single(c) => c.clients.iter().for_each(|s| s.set_policy(policy)),
+            Cluster::Sharded(c) => c.clients.iter().for_each(|s| s.set_policy(policy)),
+        }
     }
-    if let Some(p) = profiler {
-        p.install(&cluster.raft.tracer, &world);
-    }
-    let interval = sample_every.unwrap_or(Duration::from_millis(100));
+    tracer.set_record_full(cfg.trace);
+    let profiler = cfg.profile.then(|| {
+        let p = Profiler::new(cfg.kind.name());
+        p.install(&tracer, &world);
+        p
+    });
+    let ledger = FaultLedger::new();
+    let interval = cfg.sample_every.unwrap_or(INCIDENT_SAMPLE_EVERY);
+    let monitor = cfg.storm.then(|| {
+        assert!(
+            cfg.sample_every.is_some(),
+            "storm monitoring needs sampling"
+        );
+        StormMonitor::new(
+            &tracer,
+            &ledger,
+            StormCfg {
+                every: interval,
+                ..StormCfg::default()
+            },
+        )
+    });
     let sampler = Rc::new(RefCell::new(Sampler::new(
         metrics.clone(),
         interval.as_nanos() as u64,
     )));
-    if sample_every.is_some() {
-        // Virtual-clock sampling loop; rows align to the interval grid
-        // (the sampler pins timestamps down to interval multiples).
+    if cfg.sample_every.is_some() {
+        // Virtual-clock sampling loop; rows align to the interval grid.
+        // The storm monitor ticks first, so each row carries this
+        // interval's offered/goodput/amplification gauges.
         let sampler = sampler.clone();
+        let monitor = monitor.clone();
         let sim2 = sim.clone();
         sim.spawn(async move {
             loop {
                 sim2.sleep(interval).await;
+                if let Some(m) = &monitor {
+                    m.tick(sim2.now());
+                }
                 sampler.borrow_mut().sample_at(sim2.now().as_nanos());
             }
         });
     }
-    let _detector = incident
-        .as_ref()
-        .map(|(_, dcfg)| FailSlowDetector::spawn(&sim, &cluster.raft.tracer, *dcfg));
-    if let Some((target, kind)) = &cfg.fault {
-        let nodes: Vec<NodeId> = match target {
-            FaultTarget::None => vec![],
-            FaultTarget::Followers(ids) => ids.iter().copied().map(NodeId).collect(),
+    let detector = cfg
+        .detector
+        .map(|dcfg| FailSlowDetector::spawn(&sim, &tracer, dcfg));
+    if cfg.mitigate_leader {
+        let detector = detector
+            .as_ref()
+            .expect("leader mitigation needs a detector");
+        let cores = match &cluster {
+            Cluster::Single(c) => c.raft.servers.iter().map(|s| s.core().clone()).collect(),
+            Cluster::Sharded(c) => c
+                .raft
+                .groups
+                .iter()
+                .flat_map(|g| g.servers.iter().map(|s| s.core().clone()))
+                .collect(),
         };
-        let at = cfg.fault_at.unwrap_or(cfg.warmup / 2);
-        for node in nodes {
-            match &incident {
-                Some((ledger, _)) => depfast_fault::inject_at_logged(
-                    &sim,
-                    &world,
-                    node,
-                    *kind,
-                    at,
-                    cfg.fault_duration,
-                    ledger,
-                ),
-                None => depfast_fault::inject_at(&sim, &world, node, *kind, at, cfg.fault_duration),
+        // A demoted leader sits out two seconds of elections.
+        depfast_detect::spawn_leader_mitigation(&sim, detector, cores, Duration::from_secs(2));
+    }
+    for w in &cfg.faults {
+        depfast_fault::inject_at_logged(
+            &sim,
+            &world,
+            NodeId(w.node),
+            w.kind,
+            w.at,
+            w.duration,
+            &ledger,
+        );
+    }
+    metrics
+        .counter(Key::global("scenario.windows.armed"))
+        .add(cfg.faults.len() as u64);
+    for t in &cfg.triggers {
+        let t = t.clone();
+        let sim2 = sim.clone();
+        let world2 = world.clone();
+        let ledger2 = ledger.clone();
+        let metrics2 = metrics.clone();
+        sim.spawn(async move {
+            loop {
+                sim2.sleep(INCIDENT_SAMPLE_EVERY).await;
+                let commit = metrics2
+                    .snapshot()
+                    .iter()
+                    .filter(|(k, _)| k.name == "raft.commit_index")
+                    .map(|(_, v)| v.scalar())
+                    .max()
+                    .unwrap_or(0);
+                if commit >= t.commits as i128 {
+                    for &node in &t.nodes {
+                        depfast_fault::inject_at_logged(
+                            &sim2,
+                            &world2,
+                            NodeId(node),
+                            t.kind,
+                            Duration::ZERO,
+                            Some(t.duration),
+                            &ledger2,
+                        );
+                    }
+                    metrics2
+                        .counter(Key::global("scenario.trigger.fired"))
+                        .inc();
+                    break;
+                }
             }
-        }
+        });
     }
     let spec = WorkloadSpec::update_heavy()
         .with_records(cfg.records)
         .with_value_size(cfg.value_size);
-    let stats = run_workload(
-        &sim,
-        &world,
-        &cluster,
-        spec,
-        DriverCfg {
-            warmup: cfg.warmup,
-            measure: cfg.measure,
-            seed: cfg.seed ^ 0x5eed,
-        },
-    );
-    if let Some(sink) = trace_into {
-        cluster.raft.tracer.set_record_full(false);
-        *sink.borrow_mut() = cluster.raft.tracer.take_records();
-    }
-    if let Some(p) = profiler {
-        p.uninstall(&cluster.raft.tracer, &world);
+    let driver = DriverCfg {
+        warmup: cfg.warmup,
+        measure: cfg.measure,
+        seed: cfg.seed ^ 0x5eed,
+    };
+    let (stats, groups, members) = match &cluster {
+        Cluster::Single(c) => (
+            run_workload(&sim, &world, c, spec, driver),
+            Vec::new(),
+            Vec::new(),
+        ),
+        Cluster::Sharded(c) => {
+            let s = run_workload_sharded(&sim, &world, c, spec, driver);
+            let members = c.raft.groups.iter().map(|g| g.members.clone()).collect();
+            (s.total, s.groups, members)
+        }
+    };
+    tracer.set_record_full(false);
+    if let Some(p) = &profiler {
+        p.uninstall(&tracer, &world);
     }
     // The sampling task still holds a clone of the cell; swap the
     // sampler out rather than trying to unwrap the Rc.
     let sampler = sampler.replace(Sampler::new(MetricsRegistry::new(), 1));
-    let health = cluster.raft.tracer.take_health_events();
-    ExperimentRun {
+    RunOutput {
         stats,
+        groups,
+        members,
+        trace: tracer.take_records(),
+        trace_dropped: metrics.counter(Key::global("trace.dropped")).get(),
+        health: tracer.take_health_events(),
+        health_dropped: tracer.health_dropped(),
         metrics,
         sampler,
-        health,
+        profiler,
+        ledger,
+        storm: monitor.map_or_else(Vec::new, |m| m.series()),
+    }
+}
+
+impl RunOutput {
+    /// Per-interval rate of the cumulative series `metric`: the max over
+    /// its keys (leadership may move between replicas), optionally only
+    /// those tagged with group `gid`, differenced across sampler rows.
+    /// `raft.commit_index` gives commit throughput; `client.success`
+    /// gives client goodput.
+    pub fn rate_series(&self, metric: &str, gid: Option<u32>) -> Vec<(u64, f64)> {
+        let tag = gid.map(group_label);
+        let mut series = Vec::new();
+        let mut prev: Option<(u64, i128)> = None;
+        for row in self.sampler.rows() {
+            let value = row
+                .values
+                .iter()
+                .filter(|(k, _)| k.name == metric && (tag.is_none() || k.tag == tag))
+                .map(|(_, v)| v.scalar())
+                .max()
+                .unwrap_or(0);
+            if let Some((pt, pv)) = prev {
+                let dt = row.t_ns.saturating_sub(pt);
+                if dt > 0 {
+                    series.push((row.t_ns, (value - pv).max(0) as f64 / (dt as f64 / 1e9)));
+                }
+            }
+            prev = Some((row.t_ns, value));
+        }
+        series
+    }
+
+    /// The run's joined incident record — ground-truth ledger, reaction
+    /// timeline and throughput series — canonicalized and ready for the
+    /// scorecard. `fault` labels the dump. The series is commit
+    /// throughput, or client goodput (`client.success`) for a
+    /// storm-monitored run: a storm commits plenty of duplicate retries
+    /// while clients see nothing, and those must not count as survival.
+    pub fn incident_dump(&self, cfg: &RunCfg, fault: &str) -> IncidentDump {
+        let metric = if cfg.storm {
+            "client.success"
+        } else {
+            "raft.commit_index"
+        };
+        let cluster = format!("{}x{}", cfg.shape.server_nodes(), cfg.clients);
+        let series = self.rate_series(metric, None);
+        self.dump(cfg, fault, cluster, |_, _| true, series)
+    }
+
+    /// One incident dump per group, indexed by `gid - 1`: ground truth
+    /// restricted to the group's replicas (a fault elsewhere is outside
+    /// its blast radius, so its scorecard must stay all-zero), the
+    /// group-stamped health events plus node-level ones on members, and
+    /// the group's own commit-throughput series.
+    pub fn group_dumps(&self, cfg: &RunCfg, fault: &str) -> Vec<IncidentDump> {
+        (1..=self.members.len() as u32)
+            .map(|gid| {
+                let mine = &self.members[(gid - 1) as usize];
+                let cluster = format!("{}/g{gid}", cfg.shape.label());
+                let series = self.rate_series("raft.commit_index", Some(gid));
+                let keep =
+                    |node, group: Option<u32>| group.map_or(mine.contains(&node), |g| g == gid);
+                self.dump(cfg, fault, cluster, keep, series)
+            })
+            .collect()
+    }
+
+    /// Joins the ledger records and health events `keep(node, group)`
+    /// admits with `throughput` into one canonical dump.
+    fn dump(
+        &self,
+        cfg: &RunCfg,
+        fault: &str,
+        cluster: String,
+        keep: impl Fn(NodeId, Option<u32>) -> bool,
+        throughput: Vec<(u64, f64)>,
+    ) -> IncidentDump {
+        let mut dump = IncidentDump {
+            driver: cfg.kind.name().to_string(),
+            fault: fault.to_string(),
+            cluster,
+            seed: cfg.seed,
+            faults: self
+                .ledger
+                .records()
+                .iter()
+                .filter(|r| keep(r.node, None))
+                .map(Into::into)
+                .collect(),
+            events: self
+                .health
+                .iter()
+                .filter(|e| keep(e.node, e.group))
+                .cloned()
+                .map(Into::into)
+                .collect(),
+            throughput,
+            end_ns: (cfg.warmup + cfg.measure).as_nanos() as u64,
+            health_dropped: self.health_dropped,
+        };
+        dump.canonicalize();
+        dump
+    }
+
+    /// Group `gid`'s statistics in the [`RunStats`] shape, so the record
+    /// machinery can treat a group like a small cluster.
+    pub fn group_stats(&self, gid: u32) -> RunStats {
+        let g = &self.groups[(gid - 1) as usize];
+        RunStats {
+            ops: g.ops,
+            errors: g.errors,
+            throughput: g.throughput,
+            latency: g.latency,
+            server_crashed: self.stats.server_crashed,
+        }
     }
 }
 
@@ -425,16 +606,20 @@ fn run(
 mod tests {
     use super::*;
 
-    fn quick(kind: RaftKind, fault: Option<(FaultTarget, FaultKind)>) -> RunStats {
-        run_experiment(&ExperimentCfg {
+    fn quick(kind: RaftKind, fault: Option<FaultKind>) -> RunStats {
+        let cfg = RunCfg {
             kind,
-            n_clients: 64,
+            clients: 64,
             warmup: Duration::from_millis(600),
             measure: Duration::from_secs(2),
             records: 10_000,
-            fault,
-            ..ExperimentCfg::default()
+            ..RunCfg::default()
+        };
+        run(&match fault {
+            Some(kind) => cfg.with_fault([1], kind),
+            None => cfg,
         })
+        .stats
     }
 
     #[test]
@@ -447,13 +632,7 @@ mod tests {
     #[test]
     fn depfast_tolerates_slow_follower() {
         let base = quick(RaftKind::DepFast, None);
-        let slow = quick(
-            RaftKind::DepFast,
-            Some((
-                ExperimentCfg::followers(1),
-                FaultKind::CpuSlow { quota: 0.05 },
-            )),
-        );
+        let slow = quick(RaftKind::DepFast, Some(FaultKind::CpuSlow { quota: 0.05 }));
         let ratio = slow.throughput / base.throughput;
         assert!(
             ratio > 0.90,
@@ -469,12 +648,9 @@ mod tests {
         let base = quick(RaftKind::Sync, None);
         let slow = quick(
             RaftKind::Sync,
-            Some((
-                ExperimentCfg::followers(1),
-                FaultKind::NetSlow {
-                    delay: Duration::from_millis(400),
-                },
-            )),
+            Some(FaultKind::NetSlow {
+                delay: Duration::from_millis(400),
+            }),
         );
         let ratio = slow.throughput / base.throughput;
         assert!(
@@ -483,6 +659,49 @@ mod tests {
             ratio,
             slow.throughput,
             base.throughput
+        );
+    }
+
+    fn sharded(groups: usize, clients: usize) -> RunCfg {
+        RunCfg {
+            shape: Shape::Sharded {
+                groups,
+                nodes: 6,
+                group_size: 3,
+            },
+            clients,
+            warmup: Duration::from_millis(600),
+            measure: Duration::from_secs(2),
+            records: 10_000,
+            ..RunCfg::default()
+        }
+    }
+
+    #[test]
+    fn sharded_baseline_commits_on_every_group() {
+        let out = run(&sharded(4, 48));
+        assert!(
+            out.stats.throughput > 1000.0,
+            "got {:.0}/s",
+            out.stats.throughput
+        );
+        assert_eq!(out.groups.len(), 4);
+        for g in &out.groups {
+            assert!(g.ops > 0, "group {} starved: {:?}", g.gid, g.ops);
+        }
+    }
+
+    #[test]
+    fn more_groups_scale_aggregate_throughput() {
+        let one = run(&sharded(1, 128)).stats;
+        let four = run(&sharded(4, 128)).stats;
+        let ratio = four.throughput / one.throughput;
+        assert!(
+            ratio > 1.5,
+            "4 groups should out-commit 1: {:.2} ({:.0} vs {:.0})",
+            ratio,
+            four.throughput,
+            one.throughput
         );
     }
 }

@@ -13,27 +13,19 @@
 //! | `events` | Criterion micro-costs of the event machinery |
 //!
 //! Run one with `cargo bench -p depfast-bench --bench fig1`, or everything
-//! with `cargo bench --workspace`.
+//! with `cargo bench --workspace`. Every cluster experiment goes through
+//! [`run`] with a [`RunCfg`].
 
 pub mod baseline;
 pub mod experiment;
 pub mod json;
 pub mod report;
-pub mod scale;
 
 pub use baseline::{
-    compare_detection, compare_scenarios, DetectRecord, DetectTolerance, GateOutcome, RunRecord,
-    ScenarioRecord, ScenarioTolerance, Suite, Tolerance,
+    compare, DetectRecord, Detection, GateOutcome, RunRecord, ScenarioRecord, Suite, Tolerance,
 };
-pub use experiment::{
-    run_experiment, run_experiment_incident, run_experiment_instrumented, run_experiment_profiled,
-    run_experiment_traced, ExperimentCfg, ExperimentRun, FaultTarget, IncidentRun, ProfiledRun,
-    TracedRun,
-};
+pub use experiment::{run, RunCfg, RunOutput, Shape, Trigger, Window};
 pub use json::Json;
 pub use report::{
     format_ms, repo_root, slug, write_metrics_csv, write_metrics_json, write_repo_artifact, Table,
-};
-pub use scale::{
-    group_run_stats, run_scale_experiment, run_scale_incident, ScaleCfg, ScaleIncidentRun,
 };

@@ -7,31 +7,29 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment_traced, ExperimentCfg, FaultTarget};
+use depfast_bench::{run, RunCfg};
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 use depfast_trace_analysis::{blame_report, chrome_trace, serialize_records, TraceIndex};
 use simkit::NodeId;
 
-fn traced_cfg(kind: RaftKind) -> ExperimentCfg {
-    ExperimentCfg {
+fn traced_cfg(kind: RaftKind) -> RunCfg {
+    RunCfg {
         kind,
-        n_clients: 32,
+        clients: 32,
         warmup: Duration::from_millis(500),
         measure: Duration::from_secs(2),
         records: 10_000,
-        fault: Some((
-            FaultTarget::Followers(vec![2]),
-            FaultKind::DiskSlow { bw_factor: 0.008 },
-        )),
-        ..ExperimentCfg::default()
+        trace: true,
+        ..RunCfg::default()
     }
+    .with_fault([2], FaultKind::DiskSlow { bw_factor: 0.008 })
 }
 
 #[test]
 fn depfast_quorum_keeps_the_disk_slow_follower_off_the_critical_path() {
-    let run = run_experiment_traced(&traced_cfg(RaftKind::DepFast));
-    let (stats, records) = (run.stats, run.records);
+    let out = run(&traced_cfg(RaftKind::DepFast));
+    let (stats, records) = (out.stats, out.trace);
     assert!(stats.ops > 100, "workload ran: {}", stats.ops);
     let report = blame_report(&TraceIndex::build(&records));
     assert!(report.commits > 100, "commits analyzed: {}", report.commits);
@@ -50,12 +48,12 @@ fn sync_driver_blame_lands_on_the_disk_slow_follower() {
     // reads below the cache floor are byte-sized (inline on the region
     // thread) while apply cost is per-entry, so the laggard-induced disk
     // reads dominate the critical path — exactly the paper's §2 story.
-    let cfg = ExperimentCfg {
+    let cfg = RunCfg {
         value_size: 4096,
         ..traced_cfg(RaftKind::Sync)
     };
-    let run = run_experiment_traced(&cfg);
-    let (stats, records) = (run.stats, run.records);
+    let out = run(&cfg);
+    let (stats, records) = (out.stats, out.trace);
     assert!(stats.ops > 100, "workload ran: {}", stats.ops);
     let report = blame_report(&TraceIndex::build(&records));
     assert!(report.commits > 100, "commits analyzed: {}", report.commits);
@@ -69,12 +67,12 @@ fn sync_driver_blame_lands_on_the_disk_slow_follower() {
 
 #[test]
 fn traced_runs_are_deterministic_and_exports_are_byte_identical() {
-    let cfg = ExperimentCfg {
+    let cfg = RunCfg {
         measure: Duration::from_secs(1),
         ..traced_cfg(RaftKind::DepFast)
     };
-    let records_a = run_experiment_traced(&cfg).records;
-    let records_b = run_experiment_traced(&cfg).records;
+    let records_a = run(&cfg).trace;
+    let records_b = run(&cfg).trace;
     assert!(!records_a.is_empty());
     assert_eq!(
         serialize_records(&records_a),

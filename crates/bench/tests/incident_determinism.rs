@@ -7,50 +7,49 @@
 use std::time::Duration;
 
 use depfast_bench::baseline::{DetectRecord, Suite};
-use depfast_bench::{run_experiment_incident, ExperimentCfg, FaultTarget, IncidentRun};
+use depfast_bench::experiment::INCIDENT_SAMPLE_EVERY;
+use depfast_bench::{run, RunCfg, Window};
 use depfast_detect::DetectorCfg;
 use depfast_fault::FaultKind;
-use depfast_incident::{incident_track, render_report, score, serialize_dumps, RECOVERY_BAND};
+use depfast_incident::{
+    incident_track, render_report, score, serialize_dumps, IncidentDump, RECOVERY_BAND,
+};
 use depfast_raft::cluster::RaftKind;
 use depfast_trace_analysis::{chrome_trace_with_incidents, TraceIndex};
 
-fn episode() -> IncidentRun {
-    let cfg = ExperimentCfg {
+fn episode() -> IncidentDump {
+    let cfg = RunCfg {
         kind: RaftKind::DepFast,
-        n_clients: 32,
+        clients: 32,
         warmup: Duration::from_secs(2),
         measure: Duration::from_millis(2400),
         records: 10_000,
-        fault: Some((
-            FaultTarget::Followers(vec![2]),
-            FaultKind::DiskSlow { bw_factor: 0.008 },
-        )),
-        fault_at: Some(Duration::from_secs(2)),
-        fault_duration: Some(Duration::from_millis(1000)),
-        ..ExperimentCfg::default()
+        faults: vec![Window {
+            node: 2,
+            kind: FaultKind::DiskSlow { bw_factor: 0.008 },
+            at: Duration::from_secs(2),
+            duration: Some(Duration::from_millis(1000)),
+        }],
+        sample_every: Some(INCIDENT_SAMPLE_EVERY),
+        detector: Some(DetectorCfg {
+            min_samples: 4,
+            ..DetectorCfg::default()
+        }),
+        ..RunCfg::default()
     };
-    let dcfg = DetectorCfg {
-        min_samples: 4,
-        ..DetectorCfg::default()
-    };
-    run_experiment_incident(&cfg, dcfg)
+    run(&cfg).incident_dump(&cfg, cfg.fault_name())
 }
 
-fn artifacts(run: &IncidentRun) -> (String, String, String, String) {
-    let cell = score(&run.dump, RECOVERY_BAND);
+fn artifacts(dump: &IncidentDump) -> (String, String, String, String) {
+    let cell = score(dump, RECOVERY_BAND);
     let mut suite = Suite::new("detect", 20210531);
-    suite.detect.push(DetectRecord::from_cell(
-        &run.dump.driver,
-        &run.dump.fault,
-        &run.dump.cluster,
-        &cell,
-    ));
-    let (spans, marks) = incident_track(&run.dump);
+    suite.detect.push(DetectRecord::from_dump(dump, &cell));
+    let (spans, marks) = incident_track(dump);
     let chrome = chrome_trace_with_incidents(&TraceIndex::build(&[]), &spans, &marks);
     (
         suite.to_json(),
-        serialize_dumps(std::slice::from_ref(&run.dump)),
-        render_report(&run.dump, &cell),
+        serialize_dumps(std::slice::from_ref(dump)),
+        render_report(dump, &cell),
         chrome,
     )
 }
@@ -62,7 +61,7 @@ fn same_seed_episodes_produce_byte_identical_artifacts() {
     let (suite_a, dump_a, report_a, chrome_a) = artifacts(&a);
     let (suite_b, dump_b, report_b, chrome_b) = artifacts(&b);
     assert!(
-        !a.dump.events.is_empty(),
+        !a.events.is_empty(),
         "episode produced no health events; the determinism check would be vacuous"
     );
     assert_eq!(suite_a, suite_b, "scorecard suite JSON must be byte-stable");

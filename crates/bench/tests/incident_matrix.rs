@@ -7,7 +7,8 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment_incident, ExperimentCfg};
+use depfast_bench::experiment::INCIDENT_SAMPLE_EVERY;
+use depfast_bench::{run, RunCfg};
 use depfast_detect::DetectorCfg;
 use depfast_incident::{score, RECOVERY_BAND};
 use depfast_raft::cluster::RaftKind;
@@ -22,18 +23,19 @@ const DRIVERS: [RaftKind; 5] = [
 
 const SEEDS: [u64; 3] = [7, 1234, 20210531];
 
-fn healthy_cfg(kind: RaftKind, seed: u64) -> ExperimentCfg {
-    ExperimentCfg {
+fn healthy_cfg(kind: RaftKind, seed: u64) -> RunCfg {
+    RunCfg {
         kind,
-        n_clients: 16,
+        clients: 16,
         seed,
         warmup: Duration::from_millis(600),
         // Long enough for the detector to warm up (5 × 200 ms windows)
         // AND judge several live windows afterwards.
         measure: Duration::from_millis(2400),
         records: 10_000,
-        fault: None,
-        ..ExperimentCfg::default()
+        sample_every: Some(INCIDENT_SAMPLE_EVERY),
+        detector: Some(DetectorCfg::default()),
+        ..RunCfg::default()
     }
 }
 
@@ -41,20 +43,21 @@ fn healthy_cfg(kind: RaftKind, seed: u64) -> ExperimentCfg {
 fn no_fault_matrix_is_silent_and_scores_all_zero() {
     for kind in DRIVERS {
         for seed in SEEDS {
-            let run = run_experiment_incident(&healthy_cfg(kind, seed), DetectorCfg::default());
+            let cfg = healthy_cfg(kind, seed);
+            let dump = run(&cfg).incident_dump(&cfg, cfg.fault_name());
             assert!(
-                run.dump.faults.is_empty(),
+                dump.faults.is_empty(),
                 "{} seed {seed}: no fault was injected but the ledger has {} record(s)",
                 kind.name(),
-                run.dump.faults.len()
+                dump.faults.len()
             );
             assert!(
-                run.dump.events.is_empty(),
+                dump.events.is_empty(),
                 "{} seed {seed}: healthy run produced health events: {:?}",
                 kind.name(),
-                run.dump.events
+                dump.events
             );
-            let cell = score(&run.dump, RECOVERY_BAND);
+            let cell = score(&dump, RECOVERY_BAND);
             assert!(
                 cell.is_all_zero(),
                 "{} seed {seed}: healthy run must score all-zero, got {cell:?}",

@@ -7,36 +7,40 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment_incident, ExperimentCfg, FaultTarget};
+use depfast_bench::experiment::INCIDENT_SAMPLE_EVERY;
+use depfast_bench::{run, RunCfg, Window};
 use depfast_detect::DetectorCfg;
 use depfast_fault::FaultKind;
 use depfast_incident::{score, ScoreCell, RECOVERY_BAND};
 use depfast_raft::cluster::RaftKind;
 
 fn disk_slow_cell(kind: RaftKind) -> ScoreCell {
-    let cfg = ExperimentCfg {
+    let cfg = RunCfg {
         kind,
-        n_clients: 32,
+        clients: 32,
         warmup: Duration::from_secs(2),
         measure: Duration::from_millis(2400),
         records: 10_000,
-        fault: Some((
-            FaultTarget::Followers(vec![2]),
-            FaultKind::DiskSlow { bw_factor: 0.008 },
-        )),
-        fault_at: Some(Duration::from_secs(2)),
-        fault_duration: Some(Duration::from_millis(1000)),
-        ..ExperimentCfg::default()
+        faults: vec![Window {
+            node: 2,
+            kind: FaultKind::DiskSlow { bw_factor: 0.008 },
+            at: Duration::from_secs(2),
+            duration: Some(Duration::from_millis(1000)),
+        }],
+        sample_every: Some(INCIDENT_SAMPLE_EVERY),
+        // The lowered sample floor mirrors the detect gate suite: a
+        // SyncRaft leader coupled to a 125×-slow disk completes too few
+        // appends per window for the default floor of 10.
+        detector: Some(DetectorCfg {
+            min_samples: 4,
+            ..DetectorCfg::default()
+        }),
+        ..RunCfg::default()
     };
-    // The lowered sample floor mirrors detect-gate: a SyncRaft leader
-    // coupled to a 125×-slow disk completes too few appends per window
-    // for the default floor of 10.
-    let dcfg = DetectorCfg {
-        min_samples: 4,
-        ..DetectorCfg::default()
-    };
-    let run = run_experiment_incident(&cfg, dcfg);
-    score(&run.dump, RECOVERY_BAND)
+    score(
+        &run(&cfg).incident_dump(&cfg, cfg.fault_name()),
+        RECOVERY_BAND,
+    )
 }
 
 #[test]

@@ -12,37 +12,38 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment_instrumented, ExperimentCfg, ExperimentRun};
+use depfast_bench::{run, RunCfg, RunOutput};
 use depfast_fault::FaultKind;
 use depfast_metrics::Key;
 use depfast_raft::cluster::RaftKind;
 
 const SLOW: u32 = 1;
 
-fn run(fault: Option<FaultKind>) -> ExperimentRun {
-    run_experiment_instrumented(
-        &ExperimentCfg {
-            kind: RaftKind::DepFast,
-            n_clients: 64,
-            warmup: Duration::from_millis(600),
-            measure: Duration::from_secs(2),
-            records: 10_000,
-            fault: fault.map(|f| (ExperimentCfg::followers(1), f)),
-            ..ExperimentCfg::default()
-        },
-        Duration::from_millis(100),
-    )
+fn sampled(fault: Option<FaultKind>) -> RunOutput {
+    let cfg = RunCfg {
+        kind: RaftKind::DepFast,
+        clients: 64,
+        warmup: Duration::from_millis(600),
+        measure: Duration::from_secs(2),
+        records: 10_000,
+        sample_every: Some(Duration::from_millis(100)),
+        ..RunCfg::default()
+    };
+    run(&match fault {
+        Some(kind) => cfg.with_fault([SLOW], kind),
+        None => cfg,
+    })
 }
 
 #[test]
 fn disk_fault_shows_in_substrate_metrics_but_not_commit_lag() {
-    let base = run(None);
-    let faulted = run(Some(FaultKind::DiskSlow { bw_factor: 0.1 }));
+    let base = sampled(None);
+    let faulted = sampled(Some(FaultKind::DiskSlow { bw_factor: 0.1 }));
     assert!(!base.stats.server_crashed && !faulted.stats.server_crashed);
 
     // 1. Fault class: the faulted node's disk service time inflates
     //    (bandwidth cut to 10% ≈ 10× slower writes) …
-    let disk_mean = |run: &ExperimentRun, node: u32| {
+    let disk_mean = |run: &RunOutput, node: u32| {
         let snap = run
             .metrics
             .histogram(Key::node("sim.disk.service", node))
@@ -64,7 +65,7 @@ fn disk_fault_shows_in_substrate_metrics_but_not_commit_lag() {
 
     // 2. Fault isolation: DepFastRaft commits on the majority quorum, so
     //    the leader's commit lag barely moves.
-    let commit_mean = |run: &ExperimentRun| {
+    let commit_mean = |run: &RunOutput| {
         let snap = run
             .metrics
             .histogram(Key::node("raft.commit_lag", 0))
@@ -81,7 +82,7 @@ fn disk_fault_shows_in_substrate_metrics_but_not_commit_lag() {
 
     // 3. Attribution: the straggler counters name the slow follower
     //    (tagged with the quorum's label, "replicate" in DepFastRaft).
-    let stragglers = |run: &ExperimentRun, node: u32| {
+    let stragglers = |run: &RunOutput, node: u32| {
         run.metrics
             .counter(Key::tagged("event.quorum.straggler", node, "replicate"))
             .get()

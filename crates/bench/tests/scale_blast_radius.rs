@@ -16,40 +16,65 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_scale_experiment, run_scale_incident, ScaleCfg, ScaleIncidentRun};
+use depfast_bench::experiment::INCIDENT_SAMPLE_EVERY;
+use depfast_bench::{run, RunCfg, RunOutput, Shape, Window};
 use depfast_detect::DetectorCfg;
 use depfast_fault::FaultKind;
-use depfast_incident::{score, RECOVERY_BAND};
+use depfast_incident::{score, IncidentDump, RECOVERY_BAND};
 use depfast_raft::cluster::RaftKind;
 
 const FAULT_NODE: u32 = 4;
 
-fn cfg(kind: RaftKind, fault: bool) -> ScaleCfg {
-    ScaleCfg {
+fn healthy_cfg(kind: RaftKind) -> RunCfg {
+    RunCfg {
         kind,
-        n_groups: 4,
-        n_nodes: 5,
-        group_size: 3,
-        n_clients: 64,
+        shape: Shape::Sharded {
+            groups: 4,
+            nodes: 5,
+            group_size: 3,
+        },
+        clients: 64,
         warmup: Duration::from_secs(2),
         measure: Duration::from_millis(2400),
         records: 10_000,
-        fault: fault.then_some((FAULT_NODE, FaultKind::DiskSlow { bw_factor: 0.008 })),
-        fault_at: Some(Duration::from_secs(2)),
-        fault_duration: None,
-        ..ScaleCfg::default()
+        ..RunCfg::default()
     }
 }
 
-fn incident(kind: RaftKind) -> ScaleIncidentRun {
-    // Same lowered sample floor as detect-gate: a SyncRaft group coupled
-    // to a 125x-slow disk completes too few appends per window for the
-    // default floor.
-    let dcfg = DetectorCfg {
-        min_samples: 4,
-        ..DetectorCfg::default()
+/// One disk-slow episode on the fault node: the run, its per-group
+/// dumps and the gids hosted on the fault node.
+struct Episode {
+    out: RunOutput,
+    dumps: Vec<IncidentDump>,
+    hosted: Vec<u32>,
+}
+
+fn incident(kind: RaftKind) -> Episode {
+    let cfg = RunCfg {
+        faults: vec![Window {
+            node: FAULT_NODE,
+            kind: FaultKind::DiskSlow { bw_factor: 0.008 },
+            at: Duration::from_secs(2),
+            duration: None,
+        }],
+        sample_every: Some(INCIDENT_SAMPLE_EVERY),
+        // Same lowered sample floor as the detect gate suite: a SyncRaft
+        // group coupled to a 125x-slow disk completes too few appends
+        // per window for the default floor.
+        detector: Some(DetectorCfg {
+            min_samples: 4,
+            ..DetectorCfg::default()
+        }),
+        ..healthy_cfg(kind)
     };
-    run_scale_incident(&cfg(kind, true), dcfg)
+    let out = run(&cfg);
+    let dumps = out.group_dumps(&cfg, cfg.fault_name());
+    // Ground truth is restricted to each group's replicas, so the hosted
+    // groups are exactly those whose dump carries the fault.
+    let hosted = (1..=dumps.len() as u32)
+        .filter(|gid| !dumps[(gid - 1) as usize].faults.is_empty())
+        .collect();
+    Episode { out, dumps, hosted }
 }
 
 /// Per-group P99 of the faulted run normalized to the same group's
@@ -57,12 +82,12 @@ fn incident(kind: RaftKind) -> ScaleIncidentRun {
 /// radius here: the groups share closed-loop clients, so a slow shard
 /// lowers every group's op rate evenly. Latency is attributed to the
 /// group that served the op, so it splits cleanly.)
-fn p99_inflation(kind: RaftKind, faulted: &ScaleIncidentRun) -> Vec<f64> {
-    let healthy = run_scale_experiment(&cfg(kind, false));
+fn p99_inflation(kind: RaftKind, faulted: &Episode) -> Vec<f64> {
+    let healthy = run(&healthy_cfg(kind));
     healthy
         .groups
         .iter()
-        .zip(&faulted.stats.groups)
+        .zip(&faulted.out.groups)
         .map(|(h, f)| f.latency.p99.as_secs_f64() / h.latency.p99.as_secs_f64())
         .collect()
 }

@@ -12,64 +12,61 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment, run_experiment_profiled, ExperimentCfg, FaultTarget};
+use depfast_bench::{run, RunCfg};
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 use simkit::NodeId;
 
-fn profiled_cfg(kind: RaftKind) -> ExperimentCfg {
-    ExperimentCfg {
+fn profiled_cfg(kind: RaftKind) -> RunCfg {
+    RunCfg {
         kind,
-        n_clients: 32,
+        clients: 32,
         warmup: Duration::from_millis(500),
         measure: Duration::from_secs(2),
         records: 10_000,
-        fault: Some((
-            FaultTarget::Followers(vec![2]),
-            FaultKind::DiskSlow { bw_factor: 0.008 },
-        )),
-        ..ExperimentCfg::default()
+        profile: true,
+        ..RunCfg::default()
     }
+    .with_fault([2], FaultKind::DiskSlow { bw_factor: 0.008 })
+}
+
+fn profiled(kind: RaftKind) -> (depfast_ycsb::driver::RunStats, depfast_profile::Profiler) {
+    let out = run(&profiled_cfg(kind));
+    (out.stats, out.profiler.expect("profiled run"))
 }
 
 #[test]
 fn profiled_exports_are_byte_identical_across_same_seed_runs() {
-    let cfg = profiled_cfg(RaftKind::DepFast);
-    let a = run_experiment_profiled(&cfg);
-    let b = run_experiment_profiled(&cfg);
-    let folded = a.profiler.folded();
+    let (_, a) = profiled(RaftKind::DepFast);
+    let (_, b) = profiled(RaftKind::DepFast);
+    let folded = a.folded();
     assert!(!folded.is_empty(), "profiler saw no samples");
-    assert_eq!(
-        folded,
-        b.profiler.folded(),
-        "folded stacks must be byte-identical"
-    );
-    assert_eq!(
-        a.profiler.svg(),
-        b.profiler.svg(),
-        "SVGs must be byte-identical"
-    );
+    assert_eq!(folded, b.folded(), "folded stacks must be byte-identical");
+    assert_eq!(a.svg(), b.svg(), "SVGs must be byte-identical");
 }
 
 #[test]
 fn profiling_does_not_perturb_the_simulation() {
-    let cfg = profiled_cfg(RaftKind::Sync);
-    let profiled = run_experiment_profiled(&cfg);
-    let plain = run_experiment(&cfg);
-    assert_eq!(profiled.stats.ops, plain.ops, "ops must match");
-    assert_eq!(profiled.stats.errors, plain.errors, "errors must match");
+    let (profiled, _) = profiled(RaftKind::Sync);
+    let plain = run(&RunCfg {
+        profile: false,
+        ..profiled_cfg(RaftKind::Sync)
+    })
+    .stats;
+    assert_eq!(profiled.ops, plain.ops, "ops must match");
+    assert_eq!(profiled.errors, plain.errors, "errors must match");
     assert_eq!(
-        profiled.stats.latency.p50, plain.latency.p50,
+        profiled.latency.p50, plain.latency.p50,
         "p50 must match exactly"
     );
     assert_eq!(
-        profiled.stats.latency.p99, plain.latency.p99,
+        profiled.latency.p99, plain.latency.p99,
         "p99 must match exactly"
     );
     assert!(
-        (profiled.stats.throughput - plain.throughput).abs() < 1e-9,
+        (profiled.throughput - plain.throughput).abs() < 1e-9,
         "throughput must match: {} vs {}",
-        profiled.stats.throughput,
+        profiled.throughput,
         plain.throughput
     );
 }
@@ -84,10 +81,10 @@ fn profiling_does_not_perturb_the_simulation() {
 /// spends well under half of its waiting on disk.
 #[test]
 fn disk_wait_dominates_the_slow_follower_under_sync_but_not_depfast() {
-    let sync = run_experiment_profiled(&profiled_cfg(RaftKind::Sync));
-    let depfast = run_experiment_profiled(&profiled_cfg(RaftKind::DepFast));
-    let sync_share = sync.profiler.node_wait_share(NodeId(2), "disk");
-    let depfast_share = depfast.profiler.node_wait_share(NodeId(2), "disk");
+    let (_, sync) = profiled(RaftKind::Sync);
+    let (_, depfast) = profiled(RaftKind::DepFast);
+    let sync_share = sync.node_wait_share(NodeId(2), "disk");
+    let depfast_share = depfast.node_wait_share(NodeId(2), "disk");
     assert!(
         sync_share > 0.5,
         "SyncRaft: the disk-slow follower's waiting should be disk-dominated, got {sync_share:.3}"

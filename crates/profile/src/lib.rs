@@ -32,8 +32,8 @@
 //! Aggregates export as deterministic inferno-compatible folded stacks
 //! (`node;driver;phase;site <ns>`, sorted) and render to a zero-dependency
 //! SVG flamegraph ([`flame::render_svg`]). Same seed, same binary ⇒
-//! byte-identical output — which is what lets `bench-gate` diff profiles
-//! across commits.
+//! byte-identical output — which is what lets the gate's bench suite diff
+//! profiles across commits.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

@@ -8,36 +8,10 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
+use depfast_bench::{Trigger, Window};
 use depfast_fault::FaultKind;
 
 use crate::dsl::{Scenario, Schedule, Target};
-
-/// One concrete injection window the runner arms via
-/// `depfast_fault::inject_at_logged`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Window {
-    /// Node the fault lands on.
-    pub node: u32,
-    /// Fault applied for this window (ramps scale it per step).
-    pub kind: FaultKind,
-    /// Onset offset from run start.
-    pub at: Duration,
-    /// Active span (`None` = rest of the run).
-    pub duration: Option<Duration>,
-}
-
-/// A load-conditioned injection the runner arms as a commit-index watch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Trigger {
-    /// Fires when the cluster's max commit index first reaches this.
-    pub commits: u64,
-    /// Nodes the fault then lands on.
-    pub nodes: Vec<u32>,
-    /// Fault applied.
-    pub kind: FaultKind,
-    /// Active span once fired.
-    pub duration: Duration,
-}
 
 /// The compiled form of a scenario: static windows plus load triggers.
 #[derive(Debug, Clone, PartialEq, Default)]

@@ -13,13 +13,17 @@
 //!   fixed 8-cell matrix.
 //! - [`compile`]: pure scenario → [`InjectionPlan`] lowering, enforcing
 //!   the never-degrade-a-majority invariant before anything runs.
-//! - [`matrix`]: the deterministic scenario × driver runner emitting
-//!   per-cell [`SurvivalCell`]s and the per-driver survival report.
+//! - [`matrix`]: scenario × driver [`Cell`]s run through the bench
+//!   harness and verdicted into [`SurvivalCell`]s, plus the per-driver
+//!   survival report.
+//! - [`storm`]: the retry-storm ablation cells.
 //!
-//! The `scenario-gate` binary diffs a fixed-seed matrix against the
-//! committed `BENCH_scenarios.json` baseline in CI: a liveness-verdict
-//! flip, a new false positive/negative/misattribution, or a TTD
-//! regression fails the build.
+//! The `gate` binary lives here because this crate sees every suite: it
+//! runs the fixed-seed bench, detect and scenario suites and diffs each
+//! against its committed `BENCH_*_baseline.json` in CI. A throughput or
+//! p99 regression, a liveness-verdict flip, a new false
+//! positive/negative/misattribution, or a TTD/TTS regression fails the
+//! build.
 
 #![warn(missing_docs)]
 
@@ -28,12 +32,9 @@ pub mod dsl;
 pub mod matrix;
 pub mod storm;
 
-pub use compile::{scale_kind, CompileError, InjectionPlan, Trigger, Window};
+pub use compile::{scale_kind, CompileError, InjectionPlan};
 pub use dsl::{catalog, Scenario, Schedule, Target};
 pub use matrix::{
-    all_drivers, render_survival_report, run_cell, run_matrix, MatrixCfg, SurvivalCell,
+    all_drivers, matrix_cells, matrix_cfg, render_survival_report, Cell, SurvivalCell, STALL_LIMIT,
 };
-pub use storm::{
-    render_storm_report, run_storm_cell, run_storm_matrix, storm_catalog, storm_cfg, StormCell,
-    StormScenario,
-};
+pub use storm::{storm_catalog, STORM_STALL_LIMIT};

@@ -1,84 +1,146 @@
 //! The scenario × driver survival matrix.
 //!
-//! Each cell runs one scenario against one Raft driver on the simkit
-//! clock — same world tuning, Raft calibration and workload as the
-//! figure experiments — with the ledger-logged injection plan armed,
-//! the fail-slow detector in [`DetectorMode::PeerWithFallback`], and
-//! leader demotion/campaign mitigation wired for DepFast leader cells.
-//! The outcome is a [`SurvivalCell`]: client-visible survival metrics
+//! Each [`Cell`] is one run of the bench harness ([`depfast_bench::run`])
+//! on the simkit clock — same world tuning, Raft calibration and workload
+//! as the figure experiments — with the scenario's compiled injection
+//! plan armed, the fail-slow detector in
+//! [`DetectorMode::PeerWithFallback`], and leader demotion/campaign
+//! mitigation wired for DepFast leader cells. [`Cell::survive`] verdicts
+//! the run into a [`SurvivalCell`]: client-visible survival metrics
 //! (throughput floor, p99 ceiling, longest stall, liveness verdict)
 //! joined with the `depfast-incident` scorecard (TTD/TTM/TTR, FP/FN/
 //! misattribution). Cells are deterministic: same seed, byte-identical
 //! report.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::time::Duration;
 
-use depfast_bench::experiment::{
-    bench_raft_cfg, bench_serve_cpu, bench_world_cfg, INCIDENT_SAMPLE_EVERY,
-};
-use depfast_bench::Table;
-use depfast_detect::{DetectorCfg, DetectorMode, FailSlowDetector};
-use depfast_fault::FaultLedger;
+use depfast_bench::experiment::INCIDENT_SAMPLE_EVERY;
+use depfast_bench::{run, Detection, RunCfg, ScenarioRecord, Table};
+use depfast_detect::{DetectorCfg, DetectorMode};
 use depfast_incident::{score, IncidentDump, ScoreCell, RECOVERY_BAND};
-use depfast_kv::KvCluster;
-use depfast_metrics::{Key, Sampler};
 use depfast_raft::cluster::RaftKind;
-use depfast_ycsb::driver::{run_workload, DriverCfg};
-use depfast_ycsb::workload::WorkloadSpec;
-use simkit::{NodeId, Sim, World};
 
 use crate::compile::CompileError;
 use crate::dsl::{Scenario, Target};
 
-/// Matrix-wide run configuration. The default mirrors the detect-gate
-/// cell (64 clients, 2 s warm-up, 3.2 s measurement, 10 K records) so a
-/// full 8 × 5 matrix stays inside a CI-friendly wall-clock budget.
-#[derive(Debug, Clone, Copy)]
-pub struct MatrixCfg {
-    /// Replicas per group (leader is node 0).
-    pub n_servers: usize,
-    /// Closed-loop clients.
-    pub n_clients: usize,
-    /// Determinism seed (shared by sim, workload and target choice).
-    pub seed: u64,
-    /// Warm-up excluded from survival statistics.
-    pub warmup: Duration,
-    /// Measurement window.
-    pub measure: Duration,
-    /// YCSB keyspace size.
-    pub records: u64,
-    /// YCSB value bytes.
-    pub value_size: usize,
-    /// Detector tuning for every cell.
-    pub dcfg: DetectorCfg,
-    /// A cell whose longest post-warm-up commit stall exceeds this is
-    /// verdicted not-live even if throughput recovers later.
+/// A matrix cell whose longest post-warm-up commit stall exceeds this is
+/// verdicted not-live even if throughput recovers later.
+pub const STALL_LIMIT: Duration = Duration::from_millis(1500);
+
+/// The harness configuration every matrix cell starts from. It mirrors
+/// the detect gate cell (64 clients, 2 s warm-up, 3.2 s measurement,
+/// 10 K records) so a full 8 × 5 matrix stays inside a CI-friendly
+/// wall-clock budget, samples the registry for the throughput series and
+/// runs the detector with both tracks.
+pub fn matrix_cfg() -> RunCfg {
+    RunCfg {
+        clients: 64,
+        warmup: Duration::from_secs(2),
+        measure: Duration::from_millis(3200),
+        records: 10_000,
+        sample_every: Some(INCIDENT_SAMPLE_EVERY),
+        detector: Some(DetectorCfg {
+            min_samples: 4,
+            mode: DetectorMode::PeerWithFallback,
+            ..DetectorCfg::default()
+        }),
+        ..RunCfg::default()
+    }
+}
+
+/// One runnable cell of the survival matrix.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// Scenario name; keys the survival report and the CI baseline.
+    pub scenario: String,
+    /// The harness run.
+    pub cfg: RunCfg,
+    /// Longest post-warm-up stall still verdicted live.
     pub stall_limit: Duration,
 }
 
-impl Default for MatrixCfg {
-    fn default() -> Self {
-        MatrixCfg {
-            n_servers: 3,
-            n_clients: 64,
-            seed: 20210531,
-            warmup: Duration::from_secs(2),
-            measure: Duration::from_millis(3200),
-            records: 10_000,
-            value_size: 1000,
-            dcfg: DetectorCfg {
-                min_samples: 4,
-                mode: DetectorMode::PeerWithFallback,
-                ..DetectorCfg::default()
+impl Cell {
+    /// Compiles `scenario` onto the matrix shape for driver `kind`.
+    pub fn compile(scenario: &Scenario, kind: RaftKind) -> Result<Cell, CompileError> {
+        let base = matrix_cfg();
+        let plan = scenario.compile(base.shape.server_nodes(), 0, base.seed)?;
+        Ok(Cell {
+            scenario: scenario.name.clone(),
+            cfg: RunCfg {
+                kind,
+                faults: plan.windows,
+                triggers: plan.triggers,
+                mitigate_leader: kind == RaftKind::DepFast && scenario.target == Target::Leader,
+                ..base
             },
-            stall_limit: Duration::from_millis(1500),
+            stall_limit: STALL_LIMIT,
+        })
+    }
+
+    /// Runs the cell through the harness and verdicts it.
+    pub fn survive(&self) -> SurvivalCell {
+        let cfg = &self.cfg;
+        let out = run(cfg);
+        let dump = out.incident_dump(cfg, &self.scenario);
+        let cell_score = score(&dump, RECOVERY_BAND);
+        let warmup_ns = cfg.warmup.as_nanos() as u64;
+        let onset_ns = dump.faults.iter().map(|f| f.onset_ns).min();
+        let floor = dump
+            .throughput
+            .iter()
+            .filter(|(t, _)| *t >= onset_ns.unwrap_or(warmup_ns))
+            .map(|(_, ops)| *ops)
+            .fold(f64::INFINITY, f64::min);
+        // Longest run of near-dead samples after warm-up: the wedge
+        // signal a throughput average would hide.
+        let mut stall = 0usize;
+        let mut longest = 0usize;
+        for (t, ops) in &dump.throughput {
+            if *t < warmup_ns {
+                continue;
+            }
+            if *ops < 1.0 {
+                stall += 1;
+                longest = longest.max(stall);
+            } else {
+                stall = 0;
+            }
+        }
+        let interval = cfg.sample_every.expect("matrix cells are sampled");
+        let stall_ms = longest as f64 * interval.as_secs_f64() * 1e3;
+        let stats = out.stats;
+        // Retry amplification: attempts per fresh op, summed over the
+        // storm monitor's ticks at or after fault onset.
+        let amp = cfg.storm.then(|| {
+            let onset = onset_ns.unwrap_or(0);
+            let (attempts, ops) = out
+                .storm
+                .iter()
+                .filter(|a| a.t.as_nanos() >= onset)
+                .fold((0u64, 0u64), |(att, ops), a| {
+                    (att + a.attempts, ops + a.ops)
+                });
+            attempts as f64 / ops.max(1) as f64
+        });
+        SurvivalCell {
+            scenario: self.scenario.clone(),
+            driver: cfg.kind.name().to_string(),
+            throughput: stats.throughput,
+            floor: if floor.is_finite() { floor } else { 0.0 },
+            p99_ms: stats.latency.p99.as_secs_f64() * 1e3,
+            stall_ms,
+            crashed: stats.server_crashed,
+            live: !stats.server_crashed
+                && stats.ops > 0
+                && stall_ms <= self.stall_limit.as_secs_f64() * 1e3,
+            score: cell_score,
+            amp,
+            dump,
         }
     }
 }
 
-/// One cell of the survival matrix.
+/// One verdicted cell of the survival matrix.
 #[derive(Debug, Clone)]
 pub struct SurvivalCell {
     /// Scenario name (DSL catalog key).
@@ -87,216 +149,48 @@ pub struct SurvivalCell {
     pub driver: String,
     /// Measurement-window throughput (ops/s).
     pub throughput: f64,
-    /// Minimum commit-throughput sample at/after fault onset (ops/s).
+    /// Minimum throughput sample at/after fault onset (ops/s).
     pub floor: f64,
     /// Client-visible p99 latency over the measurement window (ms).
     pub p99_ms: f64,
-    /// Longest post-warm-up run of near-zero commit samples (ms).
+    /// Longest post-warm-up run of near-zero throughput samples (ms).
     pub stall_ms: f64,
     /// Any server node crashed during the run.
     pub crashed: bool,
     /// Liveness verdict: no crash, work completed, no stall past the
-    /// configured limit.
+    /// cell's limit.
     pub live: bool,
-    /// Detector/mitigation scorecard for the cell.
+    /// Detector/mitigation scorecard for the cell, including the
+    /// `storm_sustained` / TTS columns.
     pub score: ScoreCell,
+    /// Retry amplification at/after fault onset for a storm-monitored
+    /// cell: total RPC attempts per fresh operation started. ~1 in a
+    /// healthy system; ≥ 2 means the offered load is mostly retries.
+    pub amp: Option<f64>,
     /// The joined incident record (ground truth + reactions + series).
+    /// Throughput is client goodput for storm-monitored cells.
     pub dump: IncidentDump,
 }
 
-/// Runs one scenario × driver cell. Deterministic for fixed inputs.
-pub fn run_cell(
-    scenario: &Scenario,
-    kind: RaftKind,
-    cfg: &MatrixCfg,
-) -> Result<SurvivalCell, CompileError> {
-    let plan = scenario.compile(cfg.n_servers, 0, cfg.seed)?;
-    // Runs must not inherit causal context from an earlier cell in the
-    // same process (same hygiene as the bench experiments).
-    depfast::set_trace_ctx(None);
-    let sim = Sim::new(cfg.seed);
-    let world = World::new(sim.clone(), bench_world_cfg(cfg.n_servers + cfg.n_clients));
-    let metrics = world.metrics();
-    let cluster = Rc::new(KvCluster::build_tuned(
-        &sim,
-        &world,
-        kind,
-        cfg.n_servers,
-        cfg.n_clients,
-        bench_raft_cfg(),
-        bench_serve_cpu(),
-    ));
-    let sampler = Rc::new(RefCell::new(Sampler::new(
-        metrics.clone(),
-        INCIDENT_SAMPLE_EVERY.as_nanos() as u64,
-    )));
-    {
-        let sampler = sampler.clone();
-        let sim2 = sim.clone();
-        sim.spawn(async move {
-            loop {
-                sim2.sleep(INCIDENT_SAMPLE_EVERY).await;
-                sampler.borrow_mut().sample_at(sim2.now().as_nanos());
-            }
-        });
-    }
-    let detector = FailSlowDetector::spawn(&sim, &cluster.raft.tracer, cfg.dcfg);
-    if kind == RaftKind::DepFast && scenario.target == Target::Leader {
-        let cores = cluster
-            .raft
-            .servers
-            .iter()
-            .map(|s| s.core().clone())
-            .collect();
-        depfast_detect::spawn_leader_mitigation(&sim, &detector, cores, Duration::from_secs(2));
-    }
-    let ledger = FaultLedger::new();
-    for w in &plan.windows {
-        depfast_fault::inject_at_logged(
-            &sim,
-            &world,
-            NodeId(w.node),
-            w.kind,
-            w.at,
-            w.duration,
-            &ledger,
-        );
-    }
-    metrics
-        .counter(Key::global("scenario.windows.armed"))
-        .add(plan.windows.len() as u64);
-    for t in &plan.triggers {
-        let t = t.clone();
-        let sim2 = sim.clone();
-        let world2 = world.clone();
-        let ledger2 = ledger.clone();
-        let metrics2 = metrics.clone();
-        sim.spawn(async move {
-            loop {
-                sim2.sleep(INCIDENT_SAMPLE_EVERY).await;
-                let commit = metrics2
-                    .snapshot()
-                    .iter()
-                    .filter(|(k, _)| k.name == "raft.commit_index")
-                    .map(|(_, v)| v.scalar())
-                    .max()
-                    .unwrap_or(0);
-                if commit >= t.commits as i128 {
-                    for &node in &t.nodes {
-                        depfast_fault::inject_at_logged(
-                            &sim2,
-                            &world2,
-                            NodeId(node),
-                            t.kind,
-                            Duration::ZERO,
-                            Some(t.duration),
-                            &ledger2,
-                        );
-                    }
-                    metrics2
-                        .counter(Key::global("scenario.trigger.fired"))
-                        .inc();
-                    break;
-                }
-            }
-        });
-    }
-    let stats = run_workload(
-        &sim,
-        &world,
-        &cluster,
-        WorkloadSpec::update_heavy()
-            .with_records(cfg.records)
-            .with_value_size(cfg.value_size),
-        DriverCfg {
-            warmup: cfg.warmup,
-            measure: cfg.measure,
-            seed: cfg.seed ^ 0x5eed,
-        },
-    );
-    // Commit throughput per interval: cluster-wide max of the
-    // `raft.commit_index` gauge, differenced across sample rows.
-    let mut throughput = Vec::new();
-    let mut prev: Option<(u64, i128)> = None;
-    for row in sampler.borrow().rows() {
-        let commit = row
-            .values
-            .iter()
-            .filter(|(k, _)| k.name == "raft.commit_index")
-            .map(|(_, v)| v.scalar())
-            .max()
-            .unwrap_or(0);
-        if let Some((pt, pc)) = prev {
-            let dt = row.t_ns.saturating_sub(pt);
-            if dt > 0 {
-                let ops = (commit - pc).max(0) as f64 / (dt as f64 / 1e9);
-                throughput.push((row.t_ns, ops));
-            }
-        }
-        prev = Some((row.t_ns, commit));
-    }
-    let mut dump = IncidentDump {
-        driver: kind.name().to_string(),
-        fault: scenario.name.clone(),
-        cluster: format!("{}x{}", cfg.n_servers, cfg.n_clients),
-        seed: cfg.seed,
-        faults: ledger.records().iter().map(Into::into).collect(),
-        events: cluster
-            .raft
-            .tracer
-            .take_health_events()
-            .into_iter()
-            .map(Into::into)
-            .collect(),
-        throughput,
-        end_ns: (cfg.warmup + cfg.measure).as_nanos() as u64,
-        health_dropped: cluster.raft.tracer.health_dropped(),
-    };
-    dump.canonicalize();
-    let cell_score = score(&dump, RECOVERY_BAND);
-    let onset_ns = dump.faults.iter().map(|f| f.onset_ns).min();
-    let post_onset_floor = |from_ns: u64| {
-        dump.throughput
-            .iter()
-            .filter(|(t, _)| *t >= from_ns)
-            .map(|(_, ops)| *ops)
-            .fold(f64::INFINITY, f64::min)
-    };
-    let floor = match onset_ns {
-        Some(on) => post_onset_floor(on),
-        None => post_onset_floor(cfg.warmup.as_nanos() as u64),
-    };
-    let floor = if floor.is_finite() { floor } else { 0.0 };
-    // Longest run of near-dead commit samples after warm-up: the wedge
-    // signal a throughput average would hide.
-    let mut stall = 0usize;
-    let mut longest = 0usize;
-    for (t, ops) in &dump.throughput {
-        if *t < cfg.warmup.as_nanos() as u64 {
-            continue;
-        }
-        if *ops < 1.0 {
-            stall += 1;
-            longest = longest.max(stall);
-        } else {
-            stall = 0;
+impl SurvivalCell {
+    /// The cell's suite record; storm columns only for storm cells, so
+    /// non-storm baseline bytes stay untouched.
+    pub fn record(&self) -> ScenarioRecord {
+        ScenarioRecord {
+            scenario: self.scenario.clone(),
+            driver: self.driver.clone(),
+            live: self.live,
+            crashed: self.crashed,
+            throughput: self.throughput,
+            floor: self.floor,
+            p99_ms: self.p99_ms,
+            stall_ms: self.stall_ms,
+            detection: Detection::from_cell(&self.score),
+            tts_ms: self.amp.and(self.score.tts_ns).map(|ns| ns as f64 / 1e6),
+            storm_sustained: self.amp.map(|_| self.score.storm_sustained),
+            amp: self.amp,
         }
     }
-    let stall_ms = longest as f64 * INCIDENT_SAMPLE_EVERY.as_secs_f64() * 1e3;
-    let live =
-        !stats.server_crashed && stats.ops > 0 && stall_ms <= cfg.stall_limit.as_secs_f64() * 1e3;
-    Ok(SurvivalCell {
-        scenario: scenario.name.clone(),
-        driver: kind.name().to_string(),
-        throughput: stats.throughput,
-        floor,
-        p99_ms: stats.latency.p99.as_secs_f64() * 1e3,
-        stall_ms,
-        crashed: stats.server_crashed,
-        live,
-        score: cell_score,
-        dump,
-    })
 }
 
 /// Every Raft driver under test, in fixed report order.
@@ -310,44 +204,48 @@ pub fn all_drivers() -> Vec<RaftKind> {
     ]
 }
 
-/// Runs the full `scenarios × drivers` matrix, in order. Compile errors
-/// are programming errors in the scenario set and abort the matrix.
-pub fn run_matrix(
+/// The `scenarios × drivers` matrix, in order. Compile errors are
+/// programming errors in the scenario set.
+pub fn matrix_cells(
     scenarios: &[Scenario],
     drivers: &[RaftKind],
-    cfg: &MatrixCfg,
-    mut progress: impl FnMut(&SurvivalCell),
-) -> Result<Vec<SurvivalCell>, CompileError> {
-    let mut cells = Vec::with_capacity(scenarios.len() * drivers.len());
-    for s in scenarios {
-        for &kind in drivers {
-            let cell = run_cell(s, kind, cfg)?;
-            progress(&cell);
-            cells.push(cell);
-        }
-    }
-    Ok(cells)
+) -> Result<Vec<Cell>, CompileError> {
+    scenarios
+        .iter()
+        .flat_map(|s| drivers.iter().map(move |&kind| Cell::compile(s, kind)))
+        .collect()
 }
 
 /// Renders the per-driver survival report. Pure function of the cells,
-/// so same-seed matrices render byte-identical reports.
-pub fn render_survival_report(cells: &[SurvivalCell], cfg: &MatrixCfg) -> String {
+/// so same-seed matrices render byte-identical reports. Storm-monitored
+/// cells render as the retry-storm ablation: `Goodput`/`Floor` are client
+/// goodput and `Amp` is the retry-amplification factor.
+pub fn render_survival_report(cells: &[SurvivalCell], seed: u64) -> String {
+    let storm = cells.iter().any(|c| c.amp.is_some());
     let mut headers = vec![
         "Scenario",
         "Driver",
-        "Tput (op/s)",
+        if storm {
+            "Goodput (op/s)"
+        } else {
+            "Tput (op/s)"
+        },
         "Floor (op/s)",
         "P99 (ms)",
         "Stall (ms)",
-        "Live",
     ];
+    if storm {
+        headers.push("Amp");
+    }
+    headers.push("Live");
     headers.extend(depfast_incident::scorecard_headers());
+    let title = if storm {
+        "Retry-storm ablation"
+    } else {
+        "Scenario survival matrix"
+    };
     let mut table = Table::new(
-        &format!(
-            "Scenario survival matrix · {} cells · seed {}",
-            cells.len(),
-            cfg.seed
-        ),
+        &format!("{title} · {} cells · seed {seed}", cells.len()),
         &headers,
     );
     for c in cells {
@@ -358,14 +256,20 @@ pub fn render_survival_report(cells: &[SurvivalCell], cfg: &MatrixCfg) -> String
             format!("{:.0}", c.floor),
             format!("{:.1}", c.p99_ms),
             format!("{:.0}", c.stall_ms),
-            if c.crashed {
-                "CRASH".to_string()
-            } else if c.live {
-                "yes".to_string()
-            } else {
-                "STALLED".to_string()
-            },
         ];
+        if storm {
+            row.push(format!("{:.1}", c.amp.unwrap_or(0.0)));
+        }
+        row.push(
+            if c.crashed {
+                "CRASH"
+            } else if c.live {
+                "yes"
+            } else {
+                "STALLED"
+            }
+            .to_string(),
+        );
         row.extend(depfast_incident::scorecard_cells(&c.score));
         table.row(row);
     }

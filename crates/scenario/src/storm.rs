@@ -9,11 +9,11 @@
 //! arc leads to.
 //!
 //! Each cell is one fixed-seed run of the DepFast driver with every
-//! client session reconfigured to the cell's [`RetryPolicy`], a
-//! [`StormMonitor`] ticked in lock-step with the incident sampler, and
-//! the cell's throughput series computed from `client.success` deltas —
-//! *goodput*, not commit throughput, because a storm commits plenty of
-//! duplicate work while clients see nothing. The catalog pairs an
+//! client session reconfigured to the cell's [`RetryPolicy`], a storm
+//! monitor ticked in lock-step with the incident sampler, and the cell's
+//! throughput series computed from `client.success` deltas — *goodput*,
+//! not commit throughput, because a storm commits plenty of duplicate
+//! work while clients see nothing. The catalog pairs an
 //! unmitigated storm cell with an identical cell whose only change is a
 //! client-side retry budget (token-bucket admission), so the survival
 //! report reads as an ablation: same fault, same clients, budget
@@ -22,339 +22,51 @@
 //! No leader demotion/campaign mitigation is armed here: the point is
 //! to isolate the client-side admission knob as the only intervention.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::time::Duration;
 
-use depfast_bench::experiment::{
-    bench_raft_cfg, bench_serve_cpu, bench_world_cfg, INCIDENT_SAMPLE_EVERY,
-};
-use depfast_bench::Table;
-use depfast_detect::{FailSlowDetector, StormCfg, StormMonitor};
-use depfast_fault::{FaultKind, FaultLedger};
-use depfast_incident::{score, IncidentDump, RECOVERY_BAND};
-use depfast_kv::{KvCluster, RetryBudget, RetryPolicy};
-use depfast_metrics::Sampler;
-use depfast_raft::cluster::RaftKind;
-use depfast_ycsb::driver::{run_workload, DriverCfg};
-use depfast_ycsb::workload::WorkloadSpec;
-use simkit::{NodeId, Sim, World};
+use depfast_bench::{RunCfg, Window};
+use depfast_fault::FaultKind;
+use depfast_kv::{RetryBudget, RetryPolicy};
 
-use crate::matrix::{MatrixCfg, SurvivalCell};
+use crate::matrix::{matrix_cfg, Cell};
 
-/// One retry-storm cell: a client population, a retry policy, and a
-/// short severe fault on the serving leader.
-#[derive(Debug, Clone)]
-pub struct StormScenario {
-    /// Stable name; keys the survival report and the CI baseline.
-    pub name: String,
-    /// Closed-loop client sessions (overrides [`MatrixCfg::n_clients`]).
-    pub n_clients: usize,
-    /// Retry policy installed on every client session.
-    pub policy: RetryPolicy,
-    /// The fault that seeds the storm.
-    pub kind: FaultKind,
-    /// Node the fault lands on (0 = bootstrap leader).
-    pub node: u32,
-    /// Fault onset, as an offset from run start.
-    pub at: Duration,
-    /// Fault active span — short: the storm is supposed to outlive it.
-    pub duration: Duration,
-    /// Measurement window (overrides [`MatrixCfg::measure`]): long
-    /// enough to observe the post-clear regime.
-    pub measure: Duration,
-}
+/// Stall limit of a storm cell: tolerates the 1 s fault window plus the
+/// recovery band, so a storm cell is only verdicted not-live when the
+/// collapse *outlives* its cause.
+pub const STORM_STALL_LIMIT: Duration = Duration::from_millis(2500);
 
-/// One scored retry-storm cell: the survival verdict plus the
-/// storm-specific amplification evidence.
-#[derive(Debug, Clone)]
-pub struct StormCell {
-    /// The survival verdict (throughput here is *goodput*), including
-    /// the `storm_sustained` / TTS scorecard columns.
-    pub cell: SurvivalCell,
-    /// Retry amplification at/after fault onset: total RPC attempts per
-    /// fresh operation started, summed over the post-onset ticks. ~1 in
-    /// a healthy system; ≥ 2 means the offered load is mostly retries.
-    pub amp: f64,
-}
-
-/// The fixed retry-storm catalog: the same fault and client population,
-/// with and without a client-side retry budget. See [`storm_cfg`] for
-/// the shared run shape.
-pub fn storm_catalog() -> Vec<StormScenario> {
+/// The fixed retry-storm catalog: the same short severe fault on the
+/// serving leader and the same client population, with and without a
+/// client-side retry budget. Each cell runs the standard matrix shape
+/// with 160 clients and a measurement window long enough to observe the
+/// post-clear regime.
+pub fn storm_catalog() -> Vec<Cell> {
     let aggressive = RetryPolicy::aggressive(Duration::from_millis(150), 8);
-    let base = StormScenario {
-        name: "retry-storm".to_string(),
-        n_clients: 160,
-        policy: aggressive,
-        kind: FaultKind::CpuSlow { quota: 0.02 },
-        node: 0,
-        at: Duration::from_millis(2500),
-        duration: Duration::from_millis(1000),
-        measure: Duration::from_millis(5500),
+    let base = Cell {
+        scenario: "retry-storm".to_string(),
+        cfg: RunCfg {
+            clients: 160,
+            measure: Duration::from_millis(5500),
+            // Short: the storm is supposed to outlive it.
+            faults: vec![Window {
+                node: 0,
+                kind: FaultKind::CpuSlow { quota: 0.02 },
+                at: Duration::from_millis(2500),
+                duration: Some(Duration::from_millis(1000)),
+            }],
+            storm: true,
+            retry: Some(aggressive),
+            ..matrix_cfg()
+        },
+        stall_limit: STORM_STALL_LIMIT,
     };
     let mut budget = base.clone();
-    budget.name = "retry-storm-budget".to_string();
-    budget.policy = aggressive.with_budget(RetryBudget {
+    budget.scenario = "retry-storm-budget".to_string();
+    budget.cfg.retry = Some(aggressive.with_budget(RetryBudget {
         rate_per_sec: 4.0,
         burst: 2.0,
-    });
+    }));
     vec![base, budget]
-}
-
-/// The matrix configuration the storm cells run under: the standard
-/// survival-matrix shape, with the client count and measurement window
-/// taken from each [`StormScenario`], and a stall limit that tolerates
-/// the 1 s fault window plus the recovery band — a storm cell is only
-/// verdicted not-live when the collapse *outlives* its cause.
-pub fn storm_cfg() -> MatrixCfg {
-    MatrixCfg {
-        stall_limit: Duration::from_millis(2500),
-        ..MatrixCfg::default()
-    }
-}
-
-/// Runs one retry-storm cell. Deterministic for fixed inputs.
-///
-/// Differences from [`crate::matrix::run_cell`], all deliberate:
-/// - every client session gets the cell's [`RetryPolicy`];
-/// - a [`StormMonitor`] is ticked immediately before each sampler row,
-///   so the amplification series is interval-aligned with the
-///   throughput series;
-/// - the throughput series is client *goodput* (`client.success`
-///   deltas), not `raft.commit_index` deltas — duplicate committed
-///   retries must not count as survival;
-/// - no leader mitigation is armed (the retry budget is the only
-///   intervention under test).
-pub fn run_storm_cell(s: &StormScenario, cfg: &MatrixCfg) -> StormCell {
-    depfast::set_trace_ctx(None);
-    let sim = Sim::new(cfg.seed);
-    let world = World::new(sim.clone(), bench_world_cfg(cfg.n_servers + s.n_clients));
-    let metrics = world.metrics();
-    let cluster = Rc::new(KvCluster::build_tuned(
-        &sim,
-        &world,
-        RaftKind::DepFast,
-        cfg.n_servers,
-        s.n_clients,
-        bench_raft_cfg(),
-        bench_serve_cpu(),
-    ));
-    for c in &cluster.clients {
-        c.set_policy(s.policy);
-    }
-    let ledger = FaultLedger::new();
-    let monitor = StormMonitor::new(
-        &cluster.raft.tracer,
-        &ledger,
-        StormCfg {
-            every: INCIDENT_SAMPLE_EVERY,
-            ..StormCfg::default()
-        },
-    );
-    let sampler = Rc::new(RefCell::new(Sampler::new(
-        metrics.clone(),
-        INCIDENT_SAMPLE_EVERY.as_nanos() as u64,
-    )));
-    {
-        let sampler = sampler.clone();
-        let monitor = monitor.clone();
-        let sim2 = sim.clone();
-        sim.spawn(async move {
-            loop {
-                sim2.sleep(INCIDENT_SAMPLE_EVERY).await;
-                // Tick the monitor first: the row then carries this
-                // interval's offered/goodput/amplification gauges.
-                monitor.tick(sim2.now());
-                sampler.borrow_mut().sample_at(sim2.now().as_nanos());
-            }
-        });
-    }
-    let _detector = FailSlowDetector::spawn(&sim, &cluster.raft.tracer, cfg.dcfg);
-    depfast_fault::inject_at_logged(
-        &sim,
-        &world,
-        NodeId(s.node),
-        s.kind,
-        s.at,
-        Some(s.duration),
-        &ledger,
-    );
-    let stats = run_workload(
-        &sim,
-        &world,
-        &cluster,
-        WorkloadSpec::update_heavy()
-            .with_records(cfg.records)
-            .with_value_size(cfg.value_size),
-        DriverCfg {
-            warmup: cfg.warmup,
-            measure: s.measure,
-            seed: cfg.seed ^ 0x5eed,
-        },
-    );
-    // Goodput per interval: `client.success` differenced across rows.
-    let mut throughput = Vec::new();
-    let mut prev: Option<(u64, i128)> = None;
-    for row in sampler.borrow().rows() {
-        let success = row
-            .values
-            .iter()
-            .find(|(k, _)| k.name == "client.success")
-            .map(|(_, v)| v.scalar())
-            .unwrap_or(0);
-        if let Some((pt, pc)) = prev {
-            let dt = row.t_ns.saturating_sub(pt);
-            if dt > 0 {
-                let ops = (success - pc).max(0) as f64 / (dt as f64 / 1e9);
-                throughput.push((row.t_ns, ops));
-            }
-        }
-        prev = Some((row.t_ns, success));
-    }
-    let mut dump = IncidentDump {
-        driver: RaftKind::DepFast.name().to_string(),
-        fault: s.name.clone(),
-        cluster: format!("{}x{}", cfg.n_servers, s.n_clients),
-        seed: cfg.seed,
-        faults: ledger.records().iter().map(Into::into).collect(),
-        events: cluster
-            .raft
-            .tracer
-            .take_health_events()
-            .into_iter()
-            .map(Into::into)
-            .collect(),
-        throughput,
-        end_ns: (cfg.warmup + s.measure).as_nanos() as u64,
-        health_dropped: cluster.raft.tracer.health_dropped(),
-    };
-    dump.canonicalize();
-    let cell_score = score(&dump, RECOVERY_BAND);
-    let onset_ns = dump.faults.iter().map(|f| f.onset_ns).min();
-    let floor = {
-        let from = onset_ns.unwrap_or(cfg.warmup.as_nanos() as u64);
-        let f = dump
-            .throughput
-            .iter()
-            .filter(|(t, _)| *t >= from)
-            .map(|(_, ops)| *ops)
-            .fold(f64::INFINITY, f64::min);
-        if f.is_finite() {
-            f
-        } else {
-            0.0
-        }
-    };
-    let mut stall = 0usize;
-    let mut longest = 0usize;
-    for (t, ops) in &dump.throughput {
-        if *t < cfg.warmup.as_nanos() as u64 {
-            continue;
-        }
-        if *ops < 1.0 {
-            stall += 1;
-            longest = longest.max(stall);
-        } else {
-            stall = 0;
-        }
-    }
-    let stall_ms = longest as f64 * INCIDENT_SAMPLE_EVERY.as_secs_f64() * 1e3;
-    let live =
-        !stats.server_crashed && stats.ops > 0 && stall_ms <= cfg.stall_limit.as_secs_f64() * 1e3;
-    let onset = simkit::SimTime::from_nanos(onset_ns.unwrap_or(0));
-    let (post_attempts, post_ops) = monitor
-        .series()
-        .iter()
-        .filter(|a| a.t >= onset)
-        .fold((0u64, 0u64), |(att, ops), a| {
-            (att + a.attempts, ops + a.ops)
-        });
-    let amp = post_attempts as f64 / post_ops.max(1) as f64;
-    StormCell {
-        cell: SurvivalCell {
-            scenario: s.name.clone(),
-            driver: RaftKind::DepFast.name().to_string(),
-            throughput: stats.throughput,
-            floor,
-            p99_ms: stats.latency.p99.as_secs_f64() * 1e3,
-            stall_ms,
-            crashed: stats.server_crashed,
-            live,
-            score: cell_score,
-            dump,
-        },
-        amp,
-    }
-}
-
-/// Runs the full storm catalog, in order.
-pub fn run_storm_matrix(
-    scenarios: &[StormScenario],
-    cfg: &MatrixCfg,
-    mut progress: impl FnMut(&StormCell),
-) -> Vec<StormCell> {
-    let mut cells = Vec::with_capacity(scenarios.len());
-    for s in scenarios {
-        let cell = run_storm_cell(s, cfg);
-        progress(&cell);
-        cells.push(cell);
-    }
-    cells
-}
-
-/// Renders the storm-cell ablation table. Pure function of the cells,
-/// so same-seed runs render byte-identical reports. `Tput`/`Floor` are
-/// client goodput; `Amp` is total attempts per fresh op at or
-/// after fault onset — the retry-amplification factor.
-pub fn render_storm_report(cells: &[StormCell], cfg: &MatrixCfg) -> String {
-    let mut headers = vec![
-        "Scenario",
-        "Driver",
-        "Goodput (op/s)",
-        "Floor (op/s)",
-        "P99 (ms)",
-        "Stall (ms)",
-        "Amp",
-        "Live",
-    ];
-    headers.extend(depfast_incident::scorecard_headers());
-    let mut table = Table::new(
-        &format!(
-            "Retry-storm ablation · {} cells · seed {}",
-            cells.len(),
-            cfg.seed
-        ),
-        &headers,
-    );
-    for c in cells {
-        let mut row = vec![
-            c.cell.scenario.clone(),
-            c.cell.driver.clone(),
-            format!("{:.0}", c.cell.throughput),
-            format!("{:.0}", c.cell.floor),
-            format!("{:.1}", c.cell.p99_ms),
-            format!("{:.0}", c.cell.stall_ms),
-            format!("{:.1}", c.amp),
-            if c.cell.crashed {
-                "CRASH".to_string()
-            } else if c.cell.live {
-                "yes".to_string()
-            } else {
-                "STALLED".to_string()
-            },
-        ];
-        row.extend(depfast_incident::scorecard_cells(&c.cell.score));
-        table.row(row);
-    }
-    let mut out = table.render();
-    let dropped: u64 = cells.iter().map(|c| c.cell.dump.health_dropped).sum();
-    if dropped > 0 {
-        out.push_str(&format!(
-            "WARNING: {dropped} health events dropped at the tracer capacity cap — scorecards above may under-count reactions\n"
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -367,21 +79,20 @@ mod tests {
     #[test]
     #[ignore = "manual parameter-tuning probe, not a regression test"]
     fn storm_probe() {
-        let cfg = storm_cfg();
         for s in storm_catalog() {
-            let cell = run_storm_cell(&s, &cfg);
+            let cell = s.survive();
             println!(
                 "== {} · goodput {:.0} floor {:.0} stall {:.0} live {} amp {:.1} sustained {} tts {:?}",
-                s.name,
-                cell.cell.throughput,
-                cell.cell.floor,
-                cell.cell.stall_ms,
-                cell.cell.live,
-                cell.amp,
-                cell.cell.score.storm_sustained,
-                cell.cell.score.tts_ns.map(|n| n as f64 / 1e6),
+                s.scenario,
+                cell.throughput,
+                cell.floor,
+                cell.stall_ms,
+                cell.live,
+                cell.amp.unwrap_or(0.0),
+                cell.score.storm_sustained,
+                cell.score.tts_ns.map(|n| n as f64 / 1e6),
             );
-            for e in &cell.cell.dump.events {
+            for e in &cell.dump.events {
                 if e.layer == "storm" || e.layer == "raft" {
                     println!(
                         "   {:>7.1}ms n{} {} {} {}",
@@ -393,7 +104,7 @@ mod tests {
                     );
                 }
             }
-            for (t, ops) in &cell.cell.dump.throughput {
+            for (t, ops) in &cell.dump.throughput {
                 println!("   tput {:>7.1}ms {:.0}", *t as f64 / 1e6, ops);
             }
         }

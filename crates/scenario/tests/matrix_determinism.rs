@@ -4,9 +4,9 @@
 //! peer-relative signal alone misses, and survival regressions doctored
 //! into a recorded suite fail the gate comparison.
 
-use depfast_bench::baseline::{compare_scenarios, ScenarioRecord, ScenarioTolerance, Suite};
+use depfast_bench::baseline::{compare, Suite, Tolerance};
 use depfast_raft::cluster::RaftKind;
-use depfast_scenario::{catalog, render_survival_report, run_cell, run_matrix, MatrixCfg};
+use depfast_scenario::{catalog, matrix_cells, matrix_cfg, render_survival_report, Cell};
 
 fn pick(name: &str) -> depfast_scenario::Scenario {
     catalog()
@@ -22,10 +22,10 @@ fn pick(name: &str) -> depfast_scenario::Scenario {
 fn same_seed_sub_matrix_renders_byte_identical_reports() {
     let scenarios = vec![pick("flapping-disk-follower"), pick("leader-cpu-slow")];
     let drivers = vec![RaftKind::DepFast, RaftKind::Chain];
-    let cfg = MatrixCfg::default();
+    let cells = matrix_cells(&scenarios, &drivers).expect("matrix must compile");
     let run = || {
-        let cells = run_matrix(&scenarios, &drivers, &cfg, |_| {}).expect("matrix must run");
-        render_survival_report(&cells, &cfg)
+        let verdicts: Vec<_> = cells.iter().map(Cell::survive).collect();
+        render_survival_report(&verdicts, matrix_cfg().seed)
     };
     let first = run();
     let second = run();
@@ -39,9 +39,9 @@ fn same_seed_sub_matrix_renders_byte_identical_reports() {
 /// inside the recovery band.
 #[test]
 fn correlated_pair_cell_is_detected_via_the_fallback_track() {
-    let cfg = MatrixCfg::default();
-    let cell = run_cell(&pick("correlated-disk-pair"), RaftKind::DepFast, &cfg)
-        .expect("correlated pair must compile with its override");
+    let cell = Cell::compile(&pick("correlated-disk-pair"), RaftKind::DepFast)
+        .expect("correlated pair must compile with its override")
+        .survive();
     assert!(cell.score.detected, "correlated slowness must be detected");
     assert_eq!(
         cell.score.false_negatives, 0,
@@ -72,46 +72,30 @@ fn correlated_pair_cell_is_detected_via_the_fallback_track() {
 /// committed `BENCH_scenarios_baseline.json` rides on).
 #[test]
 fn doctored_survival_records_fail_the_gate_comparison() {
-    let cfg = MatrixCfg::default();
-    let cell = run_cell(&pick("disk-slow-follower"), RaftKind::DepFast, &cfg).expect("must run");
-    let record = ScenarioRecord {
-        scenario: cell.scenario.clone(),
-        driver: cell.driver.clone(),
-        live: cell.live,
-        crashed: cell.crashed,
-        throughput: cell.throughput,
-        floor: cell.floor,
-        p99_ms: cell.p99_ms,
-        stall_ms: cell.stall_ms,
-        detected: cell.score.detected,
-        ttd_ms: cell.score.ttd_ns.map(|ns| ns as f64 / 1e6),
-        ttm_ms: cell.score.ttm_ns.map(|ns| ns as f64 / 1e6),
-        ttr_ms: cell.score.ttr_ns.map(|ns| ns as f64 / 1e6),
-        false_positives: cell.score.false_positives,
-        false_negatives: cell.score.false_negatives,
-        misattributions: cell.score.misattributions,
-        tts_ms: None,
-        storm_sustained: None,
-        amp: None,
-    };
+    let record = Cell::compile(&pick("disk-slow-follower"), RaftKind::DepFast)
+        .expect("must compile")
+        .survive()
+        .record();
     assert!(
-        record.live && record.detected,
+        record.live && record.detection.detected,
         "healthy baseline cell expected"
     );
-    let mut baseline = Suite::new("scenarios", cfg.seed);
+    assert!(record.storm_sustained.is_none(), "no storm columns");
+    let seed = matrix_cfg().seed;
+    let mut baseline = Suite::new("scenarios", seed);
     baseline.scenarios = vec![record.clone()];
-    let tol = ScenarioTolerance::default();
+    let tol = Tolerance::default();
 
     // Identical current suite: pass.
-    let mut current = Suite::new("scenarios", cfg.seed);
+    let mut current = Suite::new("scenarios", seed);
     current.scenarios = vec![record.clone()];
-    assert!(compare_scenarios(&baseline, &current, &tol).passed());
+    assert!(compare(&baseline, &current, &tol).passed());
 
     // Liveness flip: fail.
     let mut flipped = record.clone();
     flipped.live = false;
     current.scenarios = vec![flipped];
-    let outcome = compare_scenarios(&baseline, &current, &tol);
+    let outcome = compare(&baseline, &current, &tol);
     assert!(!outcome.passed());
     assert!(
         outcome.failures.iter().any(|f| f.contains("liveness")),
@@ -121,9 +105,9 @@ fn doctored_survival_records_fail_the_gate_comparison() {
 
     // 2× TTD: fail (default band is +50% + 50ms on a 200ms TTD).
     let mut slower = record.clone();
-    slower.ttd_ms = record.ttd_ms.map(|v| v * 2.0);
+    slower.detection.ttd_ms = record.detection.ttd_ms.map(|v| v * 2.0);
     current.scenarios = vec![slower];
-    let outcome = compare_scenarios(&baseline, &current, &tol);
+    let outcome = compare(&baseline, &current, &tol);
     assert!(!outcome.passed());
     assert!(
         outcome

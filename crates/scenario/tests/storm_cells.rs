@@ -4,25 +4,22 @@
 //! retry-budget cell must dissolve the same storm (finite
 //! time-to-stabilize, verdict live), and the whole storm matrix must
 //! render byte-identically across same-seed runs — the properties the
-//! committed `BENCH_scenarios_baseline.json` pins and `scenario-gate`
+//! committed `BENCH_scenarios_baseline.json` pins and the `gate` binary
 //! enforces.
 
-use depfast_scenario::{
-    render_storm_report, run_storm_matrix, storm_catalog, storm_cfg, StormCell,
-};
+use depfast_scenario::{matrix_cfg, render_survival_report, storm_catalog, Cell, SurvivalCell};
 
-fn pick<'a>(cells: &'a [StormCell], name: &str) -> &'a StormCell {
+fn pick<'a>(cells: &'a [SurvivalCell], name: &str) -> &'a SurvivalCell {
     cells
         .iter()
-        .find(|c| c.cell.scenario == name)
+        .find(|c| c.scenario == name)
         .unwrap_or_else(|| panic!("{name} missing from storm matrix"))
 }
 
 #[test]
 fn storm_matrix_is_metastable_without_budget_and_deterministic() {
     let scenarios = storm_catalog();
-    let cfg = storm_cfg();
-    let run = || run_storm_matrix(&scenarios, &cfg, |_| {});
+    let run = || scenarios.iter().map(Cell::survive).collect::<Vec<_>>();
     let first = run();
 
     // Unmitigated cell: a 1 s fault births a storm the cluster never
@@ -30,29 +27,28 @@ fn storm_matrix_is_metastable_without_budget_and_deterministic() {
     // deadline long after the fault clears.
     let storm = pick(&first, "retry-storm");
     assert!(
-        storm.cell.score.storm_sustained,
+        storm.score.storm_sustained,
         "retry-storm must sustain past the fault clearing"
     );
     assert!(
-        storm.cell.score.tts_ns.is_none(),
+        storm.score.tts_ns.is_none(),
         "a sustained storm has no time-to-stabilize"
     );
-    assert!(!storm.cell.live, "metastable collapse must flunk liveness");
+    assert!(!storm.live, "metastable collapse must flunk liveness");
+    let storm_amp = storm.amp.expect("storm cells report amplification");
     assert!(
-        storm.amp >= 2.0,
-        "offered load must be ≥ 2× goodput, got {:.2}",
-        storm.amp
+        storm_amp >= 2.0,
+        "offered load must be ≥ 2× goodput, got {storm_amp:.2}"
     );
 
     // Same fault, same clients, plus a token-bucket retry budget: the
     // storm dissolves shortly after the fault clears.
     let budget = pick(&first, "retry-storm-budget");
     assert!(
-        !budget.cell.score.storm_sustained,
+        !budget.score.storm_sustained,
         "the retry budget must dissolve the storm"
     );
     let tts = budget
-        .cell
         .score
         .tts_ns
         .expect("a dissolved storm has a finite time-to-stabilize");
@@ -60,18 +56,17 @@ fn storm_matrix_is_metastable_without_budget_and_deterministic() {
         tts <= 2_000_000_000,
         "time-to-stabilize {tts} ns outside the 2 s band"
     );
-    assert!(budget.cell.live, "the mitigated cell must stay live");
+    assert!(budget.live, "the mitigated cell must stay live");
+    let budget_amp = budget.amp.expect("storm cells report amplification");
     assert!(
-        budget.amp < storm.amp,
-        "admission control must cut amplification ({:.2} vs {:.2})",
-        budget.amp,
-        storm.amp
+        budget_amp < storm_amp,
+        "admission control must cut amplification ({budget_amp:.2} vs {storm_amp:.2})"
     );
 
     // Determinism: a second same-seed run renders the identical report.
     let second = run();
-    let report_a = render_storm_report(&first, &cfg);
-    let report_b = render_storm_report(&second, &cfg);
+    let report_a = render_survival_report(&first, matrix_cfg().seed);
+    let report_b = render_survival_report(&second, matrix_cfg().seed);
     assert!(!report_a.is_empty());
     assert_eq!(
         report_a, report_b,

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment, ExperimentCfg};
+use depfast_bench::{run, RunCfg};
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 
@@ -28,19 +28,16 @@ fn main() {
         RaftKind::Backlog,
         RaftKind::Callback,
     ] {
-        let cfg = ExperimentCfg {
+        let cfg = RunCfg {
             kind,
-            n_clients: 128,
+            clients: 128,
             warmup: Duration::from_secs(1),
             measure: Duration::from_secs(4),
             records: 100_000,
-            ..ExperimentCfg::default()
+            ..RunCfg::default()
         };
-        let healthy = run_experiment(&cfg);
-        let faulty = run_experiment(&ExperimentCfg {
-            fault: Some((ExperimentCfg::followers(1), fault)),
-            ..cfg
-        });
+        let healthy = run(&cfg).stats;
+        let faulty = run(&cfg.with_fault([1], fault)).stats;
         if faulty.server_crashed {
             println!(
                 "{:<32} {:>14.0} {:>14} {:>9} {:>10} {:>10}",

@@ -6,22 +6,26 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment, ExperimentCfg};
+use depfast_bench::{run, RunCfg, Shape};
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 use depfast_ycsb::driver::RunStats;
 
 fn quick(kind: RaftKind, n_servers: usize, fault: Option<FaultKind>, slow: usize) -> RunStats {
-    run_experiment(&ExperimentCfg {
+    let cfg = RunCfg {
         kind,
-        n_servers,
-        n_clients: 96,
+        shape: Shape::Single { servers: n_servers },
+        clients: 96,
         warmup: Duration::from_millis(800),
         measure: Duration::from_millis(2500),
         records: 20_000,
-        fault: fault.map(|f| (ExperimentCfg::followers(slow), f)),
-        ..ExperimentCfg::default()
+        ..RunCfg::default()
+    };
+    run(&match fault {
+        Some(f) => cfg.with_fault(1..=slow as u32, f),
+        None => cfg,
     })
+    .stats
 }
 
 #[test]
