@@ -17,7 +17,7 @@ use depfast::event::{QuorumEvent, QuorumMode, Watchable};
 use depfast::runtime::Runtime;
 use depfast_bench::baseline::{RunRecord, Suite};
 use depfast_bench::experiment::bench_raft_cfg;
-use depfast_bench::{run, RunCfg, Table};
+use depfast_bench::{env_u64, run, RunCfg, Table};
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 use depfast_raft::core::RaftCfg;
@@ -187,10 +187,7 @@ fn ablation_buffers() {
 }
 
 fn ablation_entrycache(suite: &mut Suite) {
-    let measure = std::env::var("ABL_MEASURE_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5u64);
+    let measure = env_u64("ABL_MEASURE_SECS", 5);
     let mut t = Table::new(
         "Ablation: SyncRaft EntryCache size vs slow-follower impact",
         &[
@@ -267,10 +264,7 @@ fn ablation_entrycache(suite: &mut Suite) {
 /// per-follower append window sheds sends to it instead (visible as
 /// `raft.append.window_skips`).
 fn ablation_batching(suite: &mut Suite) {
-    let measure = std::env::var("ABL_MEASURE_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5u64);
+    let measure = env_u64("ABL_MEASURE_SECS", 5);
     let mut t = Table::new(
         "Ablation: batch cap x linger window x pipeline depth (DepFastRaft, 256 clients)",
         &[

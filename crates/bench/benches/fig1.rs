@@ -43,41 +43,13 @@ use std::time::Duration;
 use depfast_bench::baseline::{RunRecord, Suite};
 use depfast_bench::experiment::bench_raft_cfg;
 use depfast_bench::{
-    format_ms, repo_root, run, slug, write_metrics_csv, write_repo_artifact, RunCfg, RunOutput,
-    Shape, Table, Window,
+    env_u64, format_ms, repo_root, run, run_one, slug, write_repo_artifact, RunCfg, Shape, Table,
+    Window,
 };
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 use depfast_trace_analysis as trace_analysis;
 use simkit::NodeId;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Runs one experiment with the wait-state profiler attached (its site
-/// rollup lands in `BENCH_fig1.json`); with `--metrics`, instead samples
-/// the metric registry and dumps the time series to
-/// `target/depfast-bench/fig1_metrics_<run>.csv`.
-fn run_one(cfg: RunCfg, metrics: bool, run_name: &str) -> RunOutput {
-    let out = run(&RunCfg {
-        profile: !metrics,
-        sample_every: metrics.then_some(Duration::from_millis(100)),
-        ..cfg
-    });
-    if metrics {
-        if let Ok(p) = write_metrics_csv("fig1", run_name, &out.sampler.to_csv()) {
-            println!("[csv] {}", p.display());
-        }
-        if let Ok(p) = depfast_bench::write_metrics_json("fig1", run_name, &out.metrics.to_json()) {
-            println!("[json] {}", p.display());
-        }
-    }
-    out
-}
 
 /// `--flag <value>` extraction from the bench's raw argv.
 fn arg_value(flag: &str) -> Option<String> {
@@ -148,11 +120,11 @@ fn incidents_mode() {
         min_samples: 4,
         ..depfast_detect::DetectorCfg::default()
     };
+    let mut headers = vec!["System"];
+    headers.extend(depfast_incident::scorecard_headers());
     let mut table = Table::new(
         "Figure 1 incidents: detector scorecard (disk-slow follower 2)",
-        &[
-            "System", "Detected", "TTD (ms)", "TTM (ms)", "TTR (ms)", "FP", "FN", "Misattr",
-        ],
+        &headers,
     );
     let mut dumps = Vec::new();
     let mut chrome: Option<String> = None;
@@ -185,19 +157,9 @@ fn incidents_mode() {
         let dump = run(&cfg).incident_dump(&cfg, cfg.fault_name());
         let cell = depfast_incident::score(&dump, depfast_incident::RECOVERY_BAND);
         print!("{}", depfast_incident::render_report(&dump, &cell));
-        let ms = |v: Option<u64>| {
-            v.map_or_else(|| "-".to_string(), |ns| format!("{:.1}", ns as f64 / 1e6))
-        };
-        table.row(vec![
-            kind.name().to_string(),
-            cell.detected.to_string(),
-            ms(cell.ttd_ns),
-            ms(cell.ttm_ns),
-            ms(cell.ttr_ns),
-            cell.false_positives.to_string(),
-            cell.false_negatives.to_string(),
-            cell.misattributions.to_string(),
-        ]);
+        let mut row = vec![kind.name().to_string()];
+        row.extend(depfast_incident::scorecard_cells(&cell));
+        table.row(row);
         if kind == RaftKind::DepFast {
             let (spans, marks) = depfast_incident::incident_track(&dump);
             let index = trace_analysis::TraceIndex::build(&[]);
@@ -316,6 +278,7 @@ fn main() {
         };
         eprintln!("[fig1] {} baseline...", kind.name());
         let out = run_one(
+            "fig1",
             base_cfg.clone(),
             metrics,
             &format!("{}_no_slowness", kind.name()),
@@ -353,6 +316,7 @@ fn main() {
         for fault in faults {
             eprintln!("[fig1] {} + {}...", kind.name(), fault.name());
             let out = run_one(
+                "fig1",
                 base_cfg.clone().with_fault([1], fault),
                 metrics,
                 &format!("{}_{}", kind.name(), fault.name()),
@@ -437,7 +401,12 @@ fn main() {
                 raft,
                 ..RunCfg::default()
             };
-            let out = run_one(cfg, metrics, &format!("DepFastRaft_{label}_{n_clients}c"));
+            let out = run_one(
+                "fig1",
+                cfg,
+                metrics,
+                &format!("DepFastRaft_{label}_{n_clients}c"),
+            );
             suite.runs.push(RunRecord::from_stats(
                 "DepFastRaft",
                 "none",

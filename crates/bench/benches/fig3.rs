@@ -29,39 +29,11 @@ use std::time::Duration;
 
 use depfast_bench::baseline::{RunRecord, Suite};
 use depfast_bench::{
-    format_ms, repo_root, run, slug, write_metrics_csv, write_repo_artifact, RunCfg, RunOutput,
-    Shape, Table, Window,
+    env_u64, format_ms, repo_root, run, run_one, slug, write_repo_artifact, RunCfg, Shape, Table,
+    Window,
 };
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Runs one experiment with the wait-state profiler attached (its site
-/// rollup lands in `BENCH_fig3.json`); with `--metrics`, instead samples
-/// the metric registry and dumps the time series to
-/// `target/depfast-bench/fig3_metrics_<run>.csv`.
-fn run_one(cfg: RunCfg, metrics: bool, run_name: &str) -> RunOutput {
-    let out = run(&RunCfg {
-        profile: !metrics,
-        sample_every: metrics.then_some(Duration::from_millis(100)),
-        ..cfg
-    });
-    if metrics {
-        if let Ok(p) = write_metrics_csv("fig3", run_name, &out.sampler.to_csv()) {
-            println!("[csv] {}", p.display());
-        }
-        if let Ok(p) = depfast_bench::write_metrics_json("fig3", run_name, &out.metrics.to_json()) {
-            println!("[json] {}", p.display());
-        }
-    }
-    out
-}
 
 /// The `--profile` mode: one short, fixed-seed, profiled DepFastRaft run
 /// per cluster shape with a disk-slow follower minority, exporting
@@ -210,6 +182,7 @@ fn main() {
         };
         eprintln!("[fig3] {n_servers} nodes baseline...");
         let out = run_one(
+            "fig3",
             base_cfg.clone(),
             metrics,
             &format!("{n_servers}_nodes_no_slowness"),
@@ -240,6 +213,7 @@ fn main() {
                 fault.name()
             );
             let out = run_one(
+                "fig3",
                 base_cfg
                     .clone()
                     .with_fault(1..=slow_followers as u32, fault),

@@ -19,20 +19,21 @@ use depfast::{HealthEvent, TraceRecord};
 use depfast_detect::{AmpSample, DetectorCfg, FailSlowDetector, StormCfg, StormMonitor};
 use depfast_fault::{FaultKind, FaultLedger};
 use depfast_incident::IncidentDump;
-use depfast_kv::{KvCluster, RetryPolicy, ShardedKvCluster};
+use depfast_kv::{RetryPolicy, ShardedKvCluster};
 use depfast_metrics::{group_label, Key, MetricsRegistry, Sampler};
 use depfast_profile::Profiler;
-use depfast_raft::cluster::RaftKind;
+use depfast_raft::cluster::{GroupPlacement, Layout, RaftKind};
 use depfast_raft::core::RaftCfg;
 use depfast_storage::{LogStoreCfg, WalCfg};
-use depfast_ycsb::driver::{run_workload, run_workload_sharded, DriverCfg, GroupStats, RunStats};
+use depfast_ycsb::driver::{run_workload, DriverCfg, GroupStats, RunStats};
 use depfast_ycsb::workload::WorkloadSpec;
 use simkit::{MemCfg, NodeId, Sim, World, WorldCfg};
 
 /// Cluster shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shape {
-    /// One Raft group (the leader is node 0).
+    /// One Raft group on nodes `0..servers` — the one-group layout, in
+    /// the untagged gid-0 namespace (the leader is node 0).
     Single {
         /// Replicas.
         servers: usize,
@@ -53,9 +54,24 @@ pub enum Shape {
 impl Shape {
     /// Server nodes in the world (each client gets a host node on top).
     pub fn server_nodes(&self) -> usize {
+        self.layout().nodes()
+    }
+
+    /// The Raft layout: one gid-0 group for `Single`, gids `1..` striped
+    /// over the server nodes for `Sharded`.
+    pub fn layout(&self) -> Layout {
         match *self {
-            Shape::Single { servers } => servers,
-            Shape::Sharded { nodes, .. } => nodes,
+            Shape::Single { servers } => Layout::Single(servers),
+            Shape::Sharded {
+                groups,
+                nodes,
+                group_size,
+            } => Layout::Groups {
+                groups,
+                nodes,
+                group_size,
+                placement: GroupPlacement::Striped,
+            },
         }
     }
 
@@ -274,12 +290,6 @@ pub struct RunOutput {
     pub storm: Vec<AmpSample>,
 }
 
-/// The cluster under test, in either shape.
-enum Cluster {
-    Single(Rc<KvCluster>),
-    Sharded(Rc<ShardedKvCluster>),
-}
-
 /// Runs one experiment end to end. Deterministic: same config, same
 /// output, byte for byte.
 ///
@@ -296,41 +306,18 @@ pub fn run(cfg: &RunCfg) -> RunOutput {
         bench_world_cfg(cfg.shape.server_nodes() + cfg.clients),
     );
     let metrics = world.metrics();
-    let cluster = match cfg.shape {
-        Shape::Single { servers } => Cluster::Single(Rc::new(KvCluster::build_tuned(
-            &sim,
-            &world,
-            cfg.kind,
-            servers,
-            cfg.clients,
-            cfg.raft,
-            bench_serve_cpu(),
-        ))),
-        Shape::Sharded {
-            groups,
-            nodes,
-            group_size,
-        } => Cluster::Sharded(Rc::new(ShardedKvCluster::build_tuned(
-            &sim,
-            &world,
-            cfg.kind,
-            groups,
-            nodes,
-            group_size,
-            cfg.clients,
-            cfg.raft,
-            bench_serve_cpu(),
-        ))),
-    };
-    let tracer = match &cluster {
-        Cluster::Single(c) => c.raft.tracer.clone(),
-        Cluster::Sharded(c) => c.raft.tracer.clone(),
-    };
+    let cluster = Rc::new(ShardedKvCluster::build(
+        &sim,
+        &world,
+        cfg.kind,
+        cfg.shape.layout(),
+        cfg.clients,
+        cfg.raft,
+        bench_serve_cpu(),
+    ));
+    let tracer = cluster.raft.tracer.clone();
     if let Some(policy) = cfg.retry {
-        match &cluster {
-            Cluster::Single(c) => c.clients.iter().for_each(|s| s.set_policy(policy)),
-            Cluster::Sharded(c) => c.clients.iter().for_each(|s| s.set_policy(policy)),
-        }
+        cluster.clients.iter().for_each(|s| s.set_policy(policy));
     }
     tracer.set_record_full(cfg.trace);
     let profiler = cfg.profile.then(|| {
@@ -382,15 +369,12 @@ pub fn run(cfg: &RunCfg) -> RunOutput {
         let detector = detector
             .as_ref()
             .expect("leader mitigation needs a detector");
-        let cores = match &cluster {
-            Cluster::Single(c) => c.raft.servers.iter().map(|s| s.core().clone()).collect(),
-            Cluster::Sharded(c) => c
-                .raft
-                .groups
-                .iter()
-                .flat_map(|g| g.servers.iter().map(|s| s.core().clone()))
-                .collect(),
-        };
+        let cores = cluster
+            .raft
+            .groups
+            .iter()
+            .flat_map(|g| g.servers.iter().map(|s| s.core().clone()))
+            .collect();
         // A demoted leader sits out two seconds of elections.
         depfast_detect::spawn_leader_mitigation(&sim, detector, cores, Duration::from_secs(2));
     }
@@ -452,17 +436,18 @@ pub fn run(cfg: &RunCfg) -> RunOutput {
         measure: cfg.measure,
         seed: cfg.seed ^ 0x5eed,
     };
-    let (stats, groups, members) = match &cluster {
-        Cluster::Single(c) => (
-            run_workload(&sim, &world, c, spec, driver),
-            Vec::new(),
-            Vec::new(),
+    let workload = run_workload(&sim, &world, &cluster, spec, driver);
+    let (groups, members) = match cfg.shape {
+        Shape::Single { .. } => (Vec::new(), Vec::new()),
+        Shape::Sharded { .. } => (
+            workload.groups,
+            cluster
+                .raft
+                .groups
+                .iter()
+                .map(|g| g.members.clone())
+                .collect(),
         ),
-        Cluster::Sharded(c) => {
-            let s = run_workload_sharded(&sim, &world, c, spec, driver);
-            let members = c.raft.groups.iter().map(|g| g.members.clone()).collect();
-            (s.total, s.groups, members)
-        }
     };
     tracer.set_record_full(false);
     if let Some(p) = &profiler {
@@ -472,7 +457,7 @@ pub fn run(cfg: &RunCfg) -> RunOutput {
     // sampler out rather than trying to unwrap the Rc.
     let sampler = sampler.replace(Sampler::new(MetricsRegistry::new(), 1));
     RunOutput {
-        stats,
+        stats: workload.total,
         groups,
         members,
         trace: tracer.take_records(),

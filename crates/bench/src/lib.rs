@@ -26,6 +26,4 @@ pub use baseline::{
 };
 pub use experiment::{run, RunCfg, RunOutput, Shape, Trigger, Window};
 pub use json::Json;
-pub use report::{
-    format_ms, repo_root, slug, write_metrics_csv, write_metrics_json, write_repo_artifact, Table,
-};
+pub use report::{env_u64, format_ms, repo_root, run_one, slug, write_repo_artifact, Table};

@@ -1,8 +1,11 @@
-//! Plain-text table rendering and CSV output for the bench targets.
+//! Plain-text table rendering, CSV output and the shared run helper for
+//! the bench targets.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
+
+use crate::experiment::{run, RunCfg, RunOutput};
 
 /// Formats a duration as milliseconds with two decimals.
 pub fn format_ms(d: Duration) -> String {
@@ -26,26 +29,43 @@ pub fn slug(s: &str) -> String {
         .join("_")
 }
 
-/// Writes a metric time-series CSV (see `depfast_metrics::Sampler::to_csv`)
-/// under `target/depfast-bench/<bench>_metrics_<run>.csv` and returns the
-/// path.
-pub fn write_metrics_csv(bench: &str, run_name: &str, csv: &str) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("target/depfast-bench");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{bench}_metrics_{}.csv", slug(run_name)));
-    std::fs::write(&path, csv)?;
-    Ok(path)
+/// `name` parsed from the environment, or `default` when it is unset
+/// or not a number — the figure benches' scale knobs.
+pub fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
 }
 
-/// Writes a `MetricsRegistry::to_json` snapshot next to the CSV export,
-/// under `target/depfast-bench/<bench>_metrics_<run>.json`, and returns
-/// the path.
-pub fn write_metrics_json(bench: &str, run_name: &str, json: &str) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("target/depfast-bench");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{bench}_metrics_{}.json", slug(run_name)));
-    std::fs::write(&path, json)?;
-    Ok(path)
+/// Runs one figure-bench experiment with the wait-state profiler
+/// attached (its site rollup lands in `BENCH_<bench>.json`); with
+/// `metrics`, instead samples the metric registry every 100 ms and dumps
+/// the time series (see `depfast_metrics::Sampler::to_csv`) and the final
+/// `MetricsRegistry::to_json` snapshot to
+/// `target/depfast-bench/<bench>_metrics_<run>.{csv,json}`.
+pub fn run_one(bench: &str, cfg: RunCfg, metrics: bool, run_name: &str) -> RunOutput {
+    let out = run(&RunCfg {
+        profile: !metrics,
+        sample_every: metrics.then_some(Duration::from_millis(100)),
+        ..cfg
+    });
+    if metrics {
+        for (ext, body) in [
+            ("csv", out.sampler.to_csv()),
+            ("json", out.metrics.to_json()),
+        ] {
+            let dir = PathBuf::from("target/depfast-bench");
+            let path = dir.join(format!("{bench}_metrics_{}.{ext}", slug(run_name)));
+            if std::fs::create_dir_all(&dir)
+                .and_then(|()| std::fs::write(&path, body))
+                .is_ok()
+            {
+                println!("[{ext}] {}", path.display());
+            }
+        }
+    }
+    out
 }
 
 /// The workspace root, resolved from this crate's manifest directory.

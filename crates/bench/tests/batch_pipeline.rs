@@ -83,7 +83,7 @@ fn pipelined_rounds_preserve_commit_order() {
     // Fire all proposals without waiting in between, so consecutive
     // batches ride different pipelined rounds.
     let events: Vec<_> = (0..200u32)
-        .map(|i| cl.servers[0].propose(Bytes::from(i.to_be_bytes().to_vec())))
+        .map(|i| cl.group(0).servers[0].propose(Bytes::from(i.to_be_bytes().to_vec())))
         .collect();
     for ev in &events {
         use depfast::event::Watchable;
@@ -94,7 +94,7 @@ fn pipelined_rounds_preserve_commit_order() {
         assert!(out.is_ready(), "every pipelined proposal must commit");
     }
     sim.run_until_time(sim.now() + Duration::from_secs(1)); // Heartbeat catch-up.
-    for s in &cl.servers {
+    for s in &cl.group(0).servers {
         let core = s.core();
         let node = core.id.0;
         assert_eq!(core.log.last_index(), 200, "node {node} fully replicated");

@@ -40,6 +40,7 @@ fn setup() -> (
     ));
     let cores: Vec<Rc<RaftCore>> = cluster
         .raft
+        .group(0)
         .servers
         .iter()
         .map(|s| s.core().clone())

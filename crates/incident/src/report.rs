@@ -34,7 +34,7 @@ pub fn scorecard_headers() -> Vec<&'static str> {
 }
 
 /// One scorecard as table cells, aligned with [`scorecard_headers`].
-/// Shared by every scorecard-table printer (`fig3 -- --incidents`, the
+/// Shared by every scorecard-table printer (`fig1`/`fig3 -- --incidents`, the
 /// scenario matrix runner) so the formats cannot drift apart.
 pub fn scorecard_cells(cell: &ScoreCell) -> Vec<String> {
     let ms =

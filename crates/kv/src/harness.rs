@@ -1,23 +1,104 @@
-//! One-call construction of a complete replicated KV deployment: world
-//! nodes `0..n` host servers, nodes `n..n+c` host clients.
+//! One-call construction of a complete replicated KV deployment: the
+//! Raft groups of a [`Layout`] on server nodes `0..n`, one KV state
+//! machine per replica, and shard-aware clients on nodes `n..n+c`. A
+//! single group is the one-group, gid-0 layout; [`KvCluster`] is a view
+//! of it.
 
 use std::time::Duration;
 
-use depfast::runtime::Runtime;
-use depfast_raft::cluster::{
-    build_cluster, build_multi_cluster, rpc_cfg_for, MultiRaftCluster, RaftCluster, RaftKind,
-};
+use depfast_raft::cluster::{build_groups, GroupPlacement, Layout, RaftCluster, RaftKind};
 use depfast_raft::core::RaftCfg;
-use depfast_rpc::Endpoint;
 use simkit::{NodeId, Sim, World};
 
 use crate::client::KvClient;
-use crate::server::KvServer;
+use crate::server::{KvServer, DEFAULT_SERVE_CPU};
 use crate::shard::{ShardMap, ShardedKvClient};
 
-/// A running KV cluster plus client sessions.
-pub struct KvCluster {
+/// A running KV deployment: the Raft groups of a [`Layout`], a KV server
+/// per replica, and shard-aware client sessions on the nodes after the
+/// servers.
+pub struct ShardedKvCluster {
     /// The underlying Raft cluster.
+    pub raft: RaftCluster,
+    /// KV servers per group: `servers[g][r]` is `raft.groups[g]`'s
+    /// replica `r` (indexed like its `members`).
+    pub servers: Vec<Vec<KvServer>>,
+    /// Shard-aware client sessions (one per client host node).
+    pub clients: Vec<ShardedKvClient>,
+    /// Client host node ids.
+    pub client_nodes: Vec<NodeId>,
+    /// The key → group partition clients route by.
+    pub map: ShardMap,
+}
+
+impl ShardedKvCluster {
+    /// Builds the groups of `layout`, installs one KV state machine with
+    /// per-request serve cost `serve_cpu` per replica, and creates
+    /// `n_clients` shard-aware clients. `world` must have at least
+    /// `layout.nodes() + n_clients` nodes.
+    #[allow(clippy::too_many_arguments)]
+    pub fn build(
+        sim: &Sim,
+        world: &World,
+        kind: RaftKind,
+        layout: Layout,
+        n_clients: usize,
+        cfg: RaftCfg,
+        serve_cpu: Duration,
+    ) -> Self {
+        let raft = build_groups(sim, world, kind, layout, cfg);
+        let servers = raft
+            .groups
+            .iter()
+            .map(|g| {
+                g.servers
+                    .iter()
+                    .map(|s| KvServer::install_tuned(s.clone(), serve_cpu))
+                    .collect()
+            })
+            .collect();
+        let (clients, client_nodes) = raft.client_hosts(sim, world, n_clients, |ep, id| {
+            ShardedKvClient::new(ep, &raft.groups, id)
+        });
+        ShardedKvCluster {
+            map: ShardMap::new(raft.groups.len()),
+            raft,
+            servers,
+            clients,
+            client_nodes,
+        }
+    }
+
+    /// [`ShardedKvCluster::build`] with `n_groups` groups of `group_size`
+    /// replicas striped over `n_nodes` server nodes
+    /// ([`GroupPlacement::Striped`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn build_tuned(
+        sim: &Sim,
+        world: &World,
+        kind: RaftKind,
+        n_groups: usize,
+        n_nodes: usize,
+        group_size: usize,
+        n_clients: usize,
+        cfg: RaftCfg,
+        serve_cpu: Duration,
+    ) -> Self {
+        let layout = Layout::Groups {
+            groups: n_groups,
+            nodes: n_nodes,
+            group_size,
+            placement: GroupPlacement::Striped,
+        };
+        Self::build(sim, world, kind, layout, n_clients, cfg, serve_cpu)
+    }
+}
+
+/// A single-group KV cluster: the [`Layout::Single`] deployment of
+/// [`ShardedKvCluster`], with its one group's servers and client
+/// sessions unwrapped.
+pub struct KvCluster {
+    /// The underlying Raft cluster (one group, gid 0).
     pub raft: RaftCluster,
     /// One KV server per cluster node.
     pub servers: Vec<KvServer>,
@@ -46,7 +127,7 @@ impl KvCluster {
             n_servers,
             n_clients,
             cfg,
-            Duration::from_micros(30),
+            DEFAULT_SERVE_CPU,
         )
     }
 
@@ -61,111 +142,13 @@ impl KvCluster {
         cfg: RaftCfg,
         serve_cpu: Duration,
     ) -> Self {
-        assert!(
-            world.node_count() >= n_servers + n_clients,
-            "world too small: {} nodes for {} servers + {} clients",
-            world.node_count(),
-            n_servers,
-            n_clients
-        );
-        let raft = build_cluster(sim, world, kind, n_servers, cfg);
-        let servers: Vec<KvServer> = raft
-            .servers
-            .iter()
-            .map(|s| KvServer::install_tuned(s.clone(), serve_cpu))
-            .collect();
-        let server_nodes: Vec<NodeId> = (0..n_servers as u32).map(NodeId).collect();
-        let mut clients = Vec::with_capacity(n_clients);
-        let mut client_nodes = Vec::with_capacity(n_clients);
-        for i in 0..n_clients {
-            let node = NodeId((n_servers + i) as u32);
-            let rt = Runtime::with_tracer(sim.clone(), node, raft.tracer.clone());
-            let ep = Endpoint::new(&rt, world, &raft.registry, rpc_cfg_for(kind));
-            clients.push(KvClient::new(ep, server_nodes.clone(), i as u64 + 1));
-            client_nodes.push(node);
-        }
+        let layout = Layout::Single(n_servers);
+        let c = ShardedKvCluster::build(sim, world, kind, layout, n_clients, cfg, serve_cpu);
         KvCluster {
-            raft,
-            servers,
-            clients,
-            client_nodes,
-        }
-    }
-}
-
-/// A running multi-group (sharded) KV deployment: `n_nodes` server nodes
-/// hosting `groups.len()` co-located Raft groups, plus shard-aware client
-/// sessions on nodes `n_nodes..n_nodes + n_clients`.
-pub struct ShardedKvCluster {
-    /// The underlying multi-group Raft cluster.
-    pub raft: MultiRaftCluster,
-    /// KV servers per group: `servers[g][r]` is group `g + 1`'s replica
-    /// `r` (indexed like `raft.groups[g].members`).
-    pub servers: Vec<Vec<KvServer>>,
-    /// Shard-aware client sessions (one per client host node).
-    pub clients: Vec<ShardedKvClient>,
-    /// Client host node ids.
-    pub client_nodes: Vec<NodeId>,
-    /// The key → group partition clients route by.
-    pub map: ShardMap,
-}
-
-impl ShardedKvCluster {
-    /// Builds `n_groups` co-located Raft groups of `group_size` replicas
-    /// striped over `n_nodes` server nodes, installs one KV state machine
-    /// per group replica, and creates `n_clients` shard-aware clients.
-    /// `world` must have at least `n_nodes + n_clients` nodes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_tuned(
-        sim: &Sim,
-        world: &World,
-        kind: RaftKind,
-        n_groups: usize,
-        n_nodes: usize,
-        group_size: usize,
-        n_clients: usize,
-        cfg: RaftCfg,
-        serve_cpu: Duration,
-    ) -> Self {
-        assert!(
-            world.node_count() >= n_nodes + n_clients,
-            "world too small: {} nodes for {} servers + {} clients",
-            world.node_count(),
-            n_nodes,
-            n_clients
-        );
-        let raft = build_multi_cluster(sim, world, kind, n_groups, n_nodes, group_size, cfg);
-        let servers: Vec<Vec<KvServer>> = raft
-            .groups
-            .iter()
-            .map(|g| {
-                g.servers
-                    .iter()
-                    .map(|s| KvServer::install_tuned(s.clone(), serve_cpu))
-                    .collect()
-            })
-            .collect();
-        let group_servers: Vec<Vec<NodeId>> =
-            raft.groups.iter().map(|g| g.members.clone()).collect();
-        let mut clients = Vec::with_capacity(n_clients);
-        let mut client_nodes = Vec::with_capacity(n_clients);
-        for i in 0..n_clients {
-            let node = NodeId((n_nodes + i) as u32);
-            let rt = Runtime::with_tracer(sim.clone(), node, raft.tracer.clone());
-            let ep = Endpoint::new(&rt, world, &raft.registry, rpc_cfg_for(kind));
-            clients.push(ShardedKvClient::new(
-                ep,
-                group_servers.clone(),
-                i as u64 + 1,
-            ));
-            client_nodes.push(node);
-        }
-        ShardedKvCluster {
-            raft,
-            servers,
-            clients,
-            client_nodes,
-            map: ShardMap::new(n_groups),
+            raft: c.raft,
+            servers: c.servers.into_iter().flatten().collect(),
+            clients: c.clients.into_iter().flat_map(|s| s.groups).collect(),
+            client_nodes: c.client_nodes,
         }
     }
 }

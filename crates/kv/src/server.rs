@@ -19,6 +19,9 @@ use crate::command::{KvOp, KvRequest, KvResponse};
 /// How long the server shepherds one proposal before reporting an error.
 const PROPOSAL_DEADLINE: Duration = Duration::from_secs(5);
 
+/// Per-request serve CPU cost of [`KvServer::install`].
+pub const DEFAULT_SERVE_CPU: Duration = Duration::from_micros(30);
+
 /// A replicated KV server on one node.
 #[derive(Clone)]
 pub struct KvServer {
@@ -32,7 +35,7 @@ impl KvServer {
     /// Installs the KV state machine and client service on `raft` with
     /// default request-processing cost.
     pub fn install(raft: RaftServer) -> Self {
-        Self::install_tuned(raft, Duration::from_micros(30))
+        Self::install_tuned(raft, DEFAULT_SERVE_CPU)
     }
 
     /// Installs with an explicit per-request CPU cost (`serve_cpu` models

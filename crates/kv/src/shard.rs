@@ -8,13 +8,14 @@
 //! wrong-leader redirect for the leader half of the lookup.
 
 use bytes::Bytes;
+use depfast_raft::cluster::RaftGroup;
 use depfast_rpc::Endpoint;
-use simkit::NodeId;
 
 use crate::client::{KvClient, KvError, RetryPolicy};
 
-/// Partitions the keyspace over `n_groups` Raft groups (gids 1-based, as
-/// produced by `build_multi_cluster`).
+/// Partitions the keyspace over `n_groups` Raft groups. Group indices are
+/// 1-based (`raft.groups[group_of(key) - 1]` owns `key`), which for a
+/// multi-group cluster is also the gid.
 ///
 /// Hash partitioning with FNV-1a: total (every key maps to exactly one
 /// group), deterministic (a pure function of the bytes — clients,
@@ -42,8 +43,8 @@ impl ShardMap {
 
     /// The 1-based group id owning `key`.
     pub fn group_of(&self, key: &[u8]) -> u32 {
-        // FNV-1a, same constants as the txn coordinator's `shard_of` —
-        // one hash for the whole workspace keeps routing auditable.
+        // FNV-1a. The txn coordinator routes through this too: one hash
+        // for the whole workspace keeps routing auditable.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in key {
             h ^= *b as u64;
@@ -62,19 +63,17 @@ impl ShardMap {
 /// routing table.
 pub struct ShardedKvClient {
     map: ShardMap,
-    /// One session per group, indexed by `gid - 1`.
-    groups: Vec<KvClient>,
+    /// One session per group, indexed like the cluster's groups.
+    pub(crate) groups: Vec<KvClient>,
 }
 
 impl ShardedKvClient {
-    /// Creates a session from `ep`'s node to a multi-group cluster.
-    /// `group_servers[i]` must be the member nodes of group `i + 1`.
-    pub fn new(ep: Endpoint, group_servers: Vec<Vec<NodeId>>, client_id: u64) -> Self {
-        let map = ShardMap::new(group_servers.len());
-        let groups = group_servers
-            .into_iter()
-            .enumerate()
-            .map(|(i, servers)| KvClient::for_group(ep.clone(), servers, client_id, i as u32 + 1))
+    /// Creates a session from `ep`'s node to a cluster's `groups`.
+    pub fn new(ep: Endpoint, groups: &[RaftGroup], client_id: u64) -> Self {
+        let map = ShardMap::new(groups.len());
+        let groups = groups
+            .iter()
+            .map(|g| KvClient::for_group(ep.clone(), g.members.clone(), client_id, g.gid))
             .collect();
         ShardedKvClient { map, groups }
     }
@@ -99,7 +98,7 @@ impl ShardedKvClient {
         &self.groups[(self.map.group_of(key) - 1) as usize]
     }
 
-    /// All per-group sessions, indexed by `gid - 1`.
+    /// All per-group sessions, indexed like the cluster's groups.
     pub fn groups(&self) -> &[KvClient] {
         &self.groups
     }

@@ -330,7 +330,7 @@ mod tests {
         let (sim, _world, cl) = cluster(1 << 30);
         let mut committed = 0;
         for i in 0..30u32 {
-            let ev = cl.servers[0].propose(Bytes::from(vec![i as u8; 64]));
+            let ev = cl.group(0).servers[0].propose(Bytes::from(vec![i as u8; 64]));
             let out = sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
@@ -348,7 +348,7 @@ mod tests {
         world.set_cpu_quota(NodeId(2), 0.005);
         let before = world.mem_used(NodeId(0));
         for i in 0..300u32 {
-            let ev = cl.servers[0].propose(Bytes::from(vec![(i % 251) as u8; 512]));
+            let ev = cl.group(0).servers[0].propose(Bytes::from(vec![(i % 251) as u8; 512]));
             sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(1)).await }
@@ -369,7 +369,7 @@ mod tests {
         let mut crashed = false;
         'outer: for _round in 0..200 {
             for i in 0..64u32 {
-                cl.servers[0].propose(Bytes::from(vec![(i % 251) as u8; 1024]));
+                cl.group(0).servers[0].propose(Bytes::from(vec![(i % 251) as u8; 1024]));
             }
             sim.run_until_time(sim.now() + Duration::from_millis(50));
             if world.is_crashed(NodeId(0)) {

@@ -268,7 +268,7 @@ mod tests {
         let mut worst = Duration::ZERO;
         for i in 0..n {
             let t0 = sim.now();
-            let ev = cl.servers[0].propose(Bytes::from(vec![(i % 251) as u8; 128]));
+            let ev = cl.group(0).servers[0].propose(Bytes::from(vec![(i % 251) as u8; 128]));
             let out = sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }

@@ -243,7 +243,7 @@ mod tests {
         let t0 = sim.now();
         let mut ok = 0;
         for i in 0..n {
-            let ev = cl.servers[0].propose(Bytes::from(vec![(i % 251) as u8; 64]));
+            let ev = cl.group(0).servers[0].propose(Bytes::from(vec![(i % 251) as u8; 64]));
             let out = sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(3)).await }
@@ -261,7 +261,7 @@ mod tests {
         let (ok, _) = drive(&sim, &cl, 30);
         assert_eq!(ok, 30);
         sim.run_until_time(sim.now() + Duration::from_secs(1));
-        for s in &cl.servers {
+        for s in &cl.group(0).servers {
             assert_eq!(s.core().log.last_index(), 30, "chain fully replicated");
         }
     }

@@ -1,5 +1,8 @@
-//! Cluster assembly: build `n` Raft servers of a chosen driver on a
-//! simulated world, sharing one tracer and RPC registry.
+//! Cluster assembly: build the Raft groups of a [`Layout`] — one group
+//! on `n` nodes, or many groups co-located on shared nodes — of a chosen
+//! driver on a simulated world, sharing one tracer and RPC registry.
+
+use std::ops::RangeInclusive;
 
 use depfast::runtime::Runtime;
 use depfast::Tracer;
@@ -42,36 +45,6 @@ impl RaftKind {
     }
 }
 
-/// A built cluster: servers, runtimes, endpoints and the shared tracer.
-pub struct RaftCluster {
-    /// One server handle per node, indexed by node id.
-    pub servers: Vec<RaftServer>,
-    /// Per-node DepFast runtimes.
-    pub runtimes: Vec<Runtime>,
-    /// Per-node RPC endpoints.
-    pub endpoints: Vec<Endpoint>,
-    /// The cluster-shared tracer.
-    pub tracer: Tracer,
-    /// The cluster-shared RPC registry.
-    pub registry: Registry,
-}
-
-impl RaftCluster {
-    /// The current leader's node id, if exactly one server claims it.
-    pub fn leader(&self) -> Option<NodeId> {
-        let leaders: Vec<NodeId> = self
-            .servers
-            .iter()
-            .filter(|s| s.is_leader())
-            .map(|s| s.node())
-            .collect();
-        match leaders.as_slice() {
-            [one] => Some(*one),
-            _ => None,
-        }
-    }
-}
-
 /// RPC configuration appropriate for `kind`: DepFastRaft uses bounded
 /// buffers (part of its design); legacy drivers use unbounded transport
 /// buffers like the systems they model.
@@ -85,56 +58,14 @@ pub fn rpc_cfg_for(kind: RaftKind) -> RpcCfg {
     }
 }
 
-/// Builds and starts a cluster of `n` nodes of the given driver on nodes
-/// `0..n` of `world`.
-pub fn build_cluster(
-    sim: &Sim,
-    world: &World,
-    kind: RaftKind,
-    n: usize,
-    cfg: RaftCfg,
-) -> RaftCluster {
-    // One tracer recording into the world's registry: substrate (`sim.*`),
-    // transport (`rpc.*`), event (`event.*`) and driver (`raft.*`) series
-    // all land in one place, keyed by node.
-    let tracer = Tracer::with_metrics(world.metrics());
-    let registry = Registry::new();
-    let members: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let mut servers = Vec::with_capacity(n);
-    let mut runtimes = Vec::with_capacity(n);
-    let mut endpoints = Vec::with_capacity(n);
-    for id in &members {
-        let rt = Runtime::with_tracer(sim.clone(), *id, tracer.clone());
-        let ep = Endpoint::new(&rt, world, &registry, rpc_cfg_for(kind));
-        let core = RaftCore::new(&rt, world, &ep, members.clone(), cfg);
-        match kind {
-            RaftKind::DepFast => DepFastRaft::start(&core, DepFastOpts::default()),
-            RaftKind::Sync => SyncRaft::start(&core, SyncOpts::default()),
-            RaftKind::Backlog => BacklogRaft::start(&core, BacklogOpts::default()),
-            RaftKind::Callback => CallbackRaft::start(&core, CallbackOpts::default()),
-            RaftKind::Chain => ChainRaft::start(&core, ChainOpts::default()),
-        }
-        servers.push(RaftServer::new(core, kind));
-        runtimes.push(rt);
-        endpoints.push(ep);
-    }
-    RaftCluster {
-        servers,
-        runtimes,
-        endpoints,
-        tracer,
-        registry,
-    }
-}
-
-/// One Raft group of a multi-group cluster: its id, its member nodes and
-/// a server handle per member (same order as `members`).
+/// One Raft group of a cluster: its id, its member nodes and a server
+/// handle per member (same order as `members`).
 pub struct RaftGroup {
-    /// Group id (1-based; 0 is reserved for the legacy single-group
-    /// namespace).
+    /// Group id: 0 for the one group of a [`Layout::Single`] cluster (the
+    /// legacy untagged, un-namespaced namespace), `1..` otherwise.
     pub gid: u32,
-    /// Member nodes, in placement order (`members[0]` is the bootstrap
-    /// leader when the cluster was built with one).
+    /// Member nodes, in placement order (`members[b]` is the bootstrap
+    /// leader when the cluster was built with `bootstrap_leader: Some(b)`).
     pub members: Vec<NodeId>,
     /// One server handle per member, indexed like `members`.
     pub servers: Vec<RaftServer>,
@@ -170,11 +101,13 @@ impl RaftGroup {
     }
 }
 
-/// A multi-group cluster: `groups.len()` Raft groups striped over
-/// `runtimes.len()` nodes, sharing one world, tracer, registry and one
-/// RPC endpoint per node.
-pub struct MultiRaftCluster {
-    /// The groups, in gid order (`groups[i].gid == i as u32 + 1`).
+/// A built cluster: `groups.len()` Raft groups over `runtimes.len()`
+/// server nodes, sharing one world, tracer, registry and one RPC
+/// endpoint per node.
+pub struct RaftCluster {
+    /// The driver every replica runs.
+    pub kind: RaftKind,
+    /// The groups, in gid order.
     pub groups: Vec<RaftGroup>,
     /// Per-node DepFast runtimes, indexed by node id.
     pub runtimes: Vec<Runtime>,
@@ -187,10 +120,10 @@ pub struct MultiRaftCluster {
     pub registry: Registry,
 }
 
-impl MultiRaftCluster {
-    /// The group with id `gid` (1-based).
+impl RaftCluster {
+    /// The group with id `gid` (0 for a single-group cluster).
     pub fn group(&self, gid: u32) -> &RaftGroup {
-        &self.groups[(gid - 1) as usize]
+        &self.groups[(gid - self.groups[0].gid) as usize]
     }
 
     /// Ids of every group hosting a replica on `node`.
@@ -200,6 +133,37 @@ impl MultiRaftCluster {
             .filter(|g| g.hosts(node))
             .map(|g| g.gid)
             .collect()
+    }
+
+    /// Opens `n` client hosts on the nodes after the servers
+    /// (`runtimes.len() + i`): each gets its own runtime on the cluster
+    /// tracer and an endpoint on the cluster registry, which
+    /// `session(endpoint, i + 1)` turns into a client session.
+    /// Returns the sessions and their host nodes.
+    pub fn client_hosts<C>(
+        &self,
+        sim: &Sim,
+        world: &World,
+        n: usize,
+        mut session: impl FnMut(Endpoint, u64) -> C,
+    ) -> (Vec<C>, Vec<NodeId>) {
+        let first = self.runtimes.len();
+        assert!(
+            world.node_count() >= first + n,
+            "world too small: {} nodes for {first} servers + {n} clients",
+            world.node_count(),
+        );
+        let nodes: Vec<NodeId> = (first..first + n).map(|i| NodeId(i as u32)).collect();
+        let sessions = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                let rt = Runtime::with_tracer(sim.clone(), *node, self.tracer.clone());
+                let ep = Endpoint::new(&rt, world, &self.registry, rpc_cfg_for(self.kind));
+                session(ep, i as u64 + 1)
+            })
+            .collect();
+        (sessions, nodes)
     }
 }
 
@@ -220,98 +184,150 @@ pub enum GroupPlacement {
     Disjoint,
 }
 
-/// Builds and starts `n_groups` Raft groups of `group_size` replicas
-/// each, striped over nodes `0..n_nodes` of `world`
-/// ([`GroupPlacement::Striped`]).
-///
-/// All groups co-located on a node share that node's runtime and RPC
-/// endpoint; method-id namespacing ([`RaftCore::method`]) and `g{gid}`
-/// metric tags keep them apart. When `cfg.bootstrap_leader` is set (to
-/// any value), each group bootstraps its first member as leader.
-pub fn build_multi_cluster(
-    sim: &Sim,
-    world: &World,
-    kind: RaftKind,
-    n_groups: usize,
-    n_nodes: usize,
-    group_size: usize,
-    cfg: RaftCfg,
-) -> MultiRaftCluster {
-    build_multi_cluster_placed(
-        sim,
-        world,
-        kind,
-        n_groups,
-        n_nodes,
-        group_size,
-        cfg,
-        GroupPlacement::Striped,
-    )
+/// Which Raft groups a cluster runs and where their replicas live.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// One group of `n` replicas on nodes `0..n`, numbered gid 0: the
+    /// legacy namespace (untagged metrics, un-namespaced RPC methods).
+    Single(usize),
+    /// `groups` groups (gids `1..=groups`) of `group_size` replicas each
+    /// over nodes `0..nodes`.
+    Groups {
+        /// Number of Raft groups.
+        groups: usize,
+        /// Server nodes the groups are placed on.
+        nodes: usize,
+        /// Replicas per group.
+        group_size: usize,
+        /// How replicas map to nodes.
+        placement: GroupPlacement,
+    },
 }
 
-/// [`build_multi_cluster`] with an explicit [`GroupPlacement`].
-#[allow(clippy::too_many_arguments)]
-pub fn build_multi_cluster_placed(
+impl Layout {
+    /// Server nodes the layout occupies.
+    pub fn nodes(&self) -> usize {
+        match *self {
+            Layout::Single(n) => n,
+            Layout::Groups { nodes, .. } => nodes,
+        }
+    }
+
+    /// The layout's group ids, once it is checked to be well formed.
+    fn gids(&self) -> RangeInclusive<u32> {
+        match *self {
+            Layout::Single(n) => {
+                assert!(n >= 1);
+                0..=0
+            }
+            Layout::Groups {
+                groups,
+                nodes,
+                group_size,
+                placement,
+            } => {
+                assert!(groups >= 1 && group_size >= 1 && nodes >= group_size);
+                if placement == GroupPlacement::Disjoint {
+                    assert!(
+                        nodes >= groups * group_size,
+                        "disjoint placement needs {} nodes, world has {nodes}",
+                        groups * group_size
+                    );
+                }
+                1..=groups as u32
+            }
+        }
+    }
+
+    /// Member nodes of group `gid`, in placement order.
+    fn members(&self, gid: u32) -> Vec<NodeId> {
+        match *self {
+            Layout::Single(n) => (0..n as u32).map(NodeId).collect(),
+            Layout::Groups {
+                nodes,
+                group_size,
+                placement,
+                ..
+            } => (0..group_size as u32)
+                .map(|r| match placement {
+                    GroupPlacement::Striped => NodeId((gid - 1 + r) % nodes as u32),
+                    GroupPlacement::Disjoint => NodeId((gid - 1) * group_size as u32 + r),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Builds and starts a single group of `n` replicas of the given driver
+/// on nodes `0..n` of `world` ([`Layout::Single`]).
+pub fn build_cluster(
     sim: &Sim,
     world: &World,
     kind: RaftKind,
-    n_groups: usize,
-    n_nodes: usize,
-    group_size: usize,
+    n: usize,
     cfg: RaftCfg,
-    placement: GroupPlacement,
-) -> MultiRaftCluster {
-    assert!(n_groups >= 1 && group_size >= 1 && n_nodes >= group_size);
-    if placement == GroupPlacement::Disjoint {
-        assert!(
-            n_nodes >= n_groups * group_size,
-            "disjoint placement needs {} nodes, world has {n_nodes}",
-            n_groups * group_size
-        );
-    }
+) -> RaftCluster {
+    build_groups(sim, world, kind, Layout::Single(n), cfg)
+}
+
+/// Builds and starts the Raft groups of `layout` on `world`.
+///
+/// One tracer records into the world's registry: substrate (`sim.*`),
+/// transport (`rpc.*`), event (`event.*`) and driver (`raft.*`) series
+/// all land in one place, keyed by node. All groups co-located on a node
+/// share that node's runtime and RPC endpoint; method-id namespacing
+/// ([`RaftCore::method`]) and `g{gid}` metric tags keep them apart. With
+/// `cfg.bootstrap_leader: Some(b)`, each group bootstraps its member `b`
+/// as leader.
+pub fn build_groups(
+    sim: &Sim,
+    world: &World,
+    kind: RaftKind,
+    layout: Layout,
+    cfg: RaftCfg,
+) -> RaftCluster {
     let tracer = Tracer::with_metrics(world.metrics());
     let registry = Registry::new();
-    let mut runtimes = Vec::with_capacity(n_nodes);
-    let mut endpoints = Vec::with_capacity(n_nodes);
-    for id in 0..n_nodes as u32 {
-        let rt = Runtime::with_tracer(sim.clone(), NodeId(id), tracer.clone());
-        let ep = Endpoint::new(&rt, world, &registry, rpc_cfg_for(kind));
-        runtimes.push(rt);
-        endpoints.push(ep);
-    }
-    let mut groups = Vec::with_capacity(n_groups);
-    for g in 1..=n_groups as u32 {
-        let members: Vec<NodeId> = (0..group_size as u32)
-            .map(|r| match placement {
-                GroupPlacement::Striped => NodeId((g - 1 + r) % n_nodes as u32),
-                GroupPlacement::Disjoint => NodeId((g - 1) * group_size as u32 + r),
-            })
-            .collect();
-        let group_cfg = RaftCfg {
-            bootstrap_leader: cfg.bootstrap_leader.map(|_| members[0].0),
-            ..cfg
-        };
-        let mut servers = Vec::with_capacity(group_size);
-        for m in &members {
-            let rt = &runtimes[m.0 as usize];
-            let ep = &endpoints[m.0 as usize];
-            let core = RaftCore::new_in_group(rt, world, ep, members.clone(), group_cfg, g);
-            match kind {
-                RaftKind::DepFast => DepFastRaft::start(&core, DepFastOpts::default()),
-                RaftKind::Sync => SyncRaft::start(&core, SyncOpts::default()),
-                RaftKind::Backlog => BacklogRaft::start(&core, BacklogOpts::default()),
-                RaftKind::Callback => CallbackRaft::start(&core, CallbackOpts::default()),
-                RaftKind::Chain => ChainRaft::start(&core, ChainOpts::default()),
+    let (runtimes, endpoints): (Vec<Runtime>, Vec<Endpoint>) = (0..layout.nodes() as u32)
+        .map(|id| {
+            let rt = Runtime::with_tracer(sim.clone(), NodeId(id), tracer.clone());
+            let ep = Endpoint::new(&rt, world, &registry, rpc_cfg_for(kind));
+            (rt, ep)
+        })
+        .unzip();
+    let groups = layout
+        .gids()
+        .map(|gid| {
+            let members = layout.members(gid);
+            let group_cfg = RaftCfg {
+                bootstrap_leader: cfg.bootstrap_leader.map(|b| members[b as usize].0),
+                ..cfg
+            };
+            let servers = members
+                .iter()
+                .map(|m| {
+                    let (rt, ep) = (&runtimes[m.0 as usize], &endpoints[m.0 as usize]);
+                    let core =
+                        RaftCore::new_in_group(rt, world, ep, members.clone(), group_cfg, gid);
+                    match kind {
+                        RaftKind::DepFast => DepFastRaft::start(&core, DepFastOpts::default()),
+                        RaftKind::Sync => SyncRaft::start(&core, SyncOpts::default()),
+                        RaftKind::Backlog => BacklogRaft::start(&core, BacklogOpts::default()),
+                        RaftKind::Callback => CallbackRaft::start(&core, CallbackOpts::default()),
+                        RaftKind::Chain => ChainRaft::start(&core, ChainOpts::default()),
+                    }
+                    RaftServer::new(core, kind)
+                })
+                .collect();
+            RaftGroup {
+                gid,
+                members,
+                servers,
             }
-            servers.push(RaftServer::new(core, kind));
-        }
-        groups.push(RaftGroup {
-            gid: g,
-            members,
-            servers,
-        });
-    }
-    MultiRaftCluster {
+        })
+        .collect();
+    RaftCluster {
+        kind,
         groups,
         runtimes,
         endpoints,
@@ -354,13 +370,14 @@ mod tests {
                     ..RaftCfg::default()
                 },
             );
-            let ev = cl.servers[0].propose(Bytes::from_static(b"smoke"));
+            let ev = cl.group(0).servers[0].propose(Bytes::from_static(b"smoke"));
             let out = sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
             });
             assert!(out.is_ready(), "{} failed to commit", kind.name());
-            assert_eq!(cl.leader(), Some(NodeId(0)));
+            assert_eq!(cl.group(0).leader(), Some(NodeId(0)));
+            assert_eq!(cl.group(0).gid, 0);
         }
     }
 
@@ -384,7 +401,7 @@ mod tests {
                 ..RaftCfg::default()
             },
         );
-        let ev = cl.servers[0].propose(Bytes::from_static(b"five"));
+        let ev = cl.group(0).servers[0].propose(Bytes::from_static(b"five"));
         let out = sim.block_on({
             let ev = ev.clone();
             async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
@@ -402,13 +419,16 @@ mod tests {
                 ..WorldCfg::default()
             },
         );
-        let mc = build_multi_cluster(
+        let mc = build_groups(
             &sim,
             &world,
             RaftKind::DepFast,
-            4,
-            5,
-            3,
+            Layout::Groups {
+                groups: 4,
+                nodes: 5,
+                group_size: 3,
+                placement: GroupPlacement::Striped,
+            },
             RaftCfg {
                 bootstrap_leader: Some(0),
                 ..RaftCfg::default()
@@ -440,18 +460,20 @@ mod tests {
                 ..WorldCfg::default()
             },
         );
-        let mc = build_multi_cluster_placed(
+        let mc = build_groups(
             &sim,
             &world,
             RaftKind::DepFast,
-            2,
-            6,
-            3,
+            Layout::Groups {
+                groups: 2,
+                nodes: 6,
+                group_size: 3,
+                placement: GroupPlacement::Disjoint,
+            },
             RaftCfg {
                 bootstrap_leader: Some(0),
                 ..RaftCfg::default()
             },
-            GroupPlacement::Disjoint,
         );
         assert_eq!(mc.group(1).members, vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(mc.group(2).members, vec![NodeId(3), NodeId(4), NodeId(5)]);

@@ -62,8 +62,10 @@ pub struct RaftCfg {
     pub apply_cpu: Duration,
     /// Log store (EntryCache, WAL) configuration.
     pub log: LogStoreCfg,
-    /// If set, this node starts as leader of term 1 and elections are
-    /// pre-seeded (used for steady-state benchmarks; `None` = elect).
+    /// If set, the node with this id starts as leader of term 1 and
+    /// elections are pre-seeded (used for steady-state benchmarks;
+    /// `None` = elect). Cluster builders read `Some(b)` as member index
+    /// `b` of each group and hand each core that member's node id.
     pub bootstrap_leader: Option<u32>,
 }
 
@@ -364,18 +366,6 @@ pub struct RaftCore {
 }
 
 impl RaftCore {
-    /// Creates the core for `rt`'s node in a cluster of `members`
-    /// (legacy single-group form: group id 0).
-    pub fn new(
-        rt: &Runtime,
-        world: &World,
-        ep: &Endpoint,
-        members: Vec<NodeId>,
-        cfg: RaftCfg,
-    ) -> Rc<Self> {
-        Self::new_in_group(rt, world, ep, members, cfg, 0)
-    }
-
     /// Creates the core for `rt`'s node as a member of Raft group
     /// `group`. Groups co-located on one [`Endpoint`] keep their RPC
     /// services and metric series apart: every method id is namespaced
@@ -1374,7 +1364,7 @@ mod tests {
         let rt = Runtime::with_tracer(sim.clone(), NodeId(0), Tracer::new());
         let registry = Registry::new();
         let ep = Endpoint::new(&rt, &world, &registry, RpcCfg::default());
-        let core = RaftCore::new(
+        let core = RaftCore::new_in_group(
             &rt,
             &world,
             &ep,
@@ -1383,6 +1373,7 @@ mod tests {
                 bootstrap_leader: Some(0),
                 ..RaftCfg::default()
             },
+            0,
         );
         (sim, world, core)
     }

@@ -657,7 +657,7 @@ mod tests {
     #[test]
     fn bootstrap_leader_commits_a_proposal() {
         let (sim, _world, cl) = cluster(3, true);
-        let ev = cl.servers[0].propose(Bytes::from_static(b"hello"));
+        let ev = cl.group(0).servers[0].propose(Bytes::from_static(b"hello"));
         let out = sim.block_on({
             let ev = ev.clone();
             async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
@@ -669,7 +669,12 @@ mod tests {
     fn election_produces_exactly_one_leader() {
         let (sim, _world, cl) = cluster(3, false);
         sim.run_until_time(SimTime::from_secs(3));
-        let leaders: Vec<_> = cl.servers.iter().filter(|s| s.is_leader()).collect();
+        let leaders: Vec<_> = cl
+            .group(0)
+            .servers
+            .iter()
+            .filter(|s| s.is_leader())
+            .collect();
         assert_eq!(leaders.len(), 1, "expected exactly one leader");
     }
 
@@ -680,7 +685,7 @@ mod tests {
         world.set_cpu_quota(NodeId(2), 0.01);
         let mut committed = 0;
         for i in 0..50u32 {
-            let ev = cl.servers[0].propose(Bytes::from(vec![i as u8; 64]));
+            let ev = cl.group(0).servers[0].propose(Bytes::from(vec![i as u8; 64]));
             let out = sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(1)).await }
@@ -696,7 +701,7 @@ mod tests {
     fn leader_crash_triggers_reelection_and_progress() {
         let (sim, world, cl) = cluster(3, true);
         // Commit something first.
-        let ev = cl.servers[0].propose(Bytes::from_static(b"a"));
+        let ev = cl.group(0).servers[0].propose(Bytes::from_static(b"a"));
         sim.block_on({
             let ev = ev.clone();
             async move { ev.handle().wait_timeout(Duration::from_secs(1)).await }
@@ -704,11 +709,11 @@ mod tests {
         world.crash(NodeId(0));
         sim.run_until_time(sim.now() + Duration::from_secs(3));
         let leaders: Vec<usize> = (0..3)
-            .filter(|i| !world.is_crashed(NodeId(*i as u32)) && cl.servers[*i].is_leader())
+            .filter(|i| !world.is_crashed(NodeId(*i as u32)) && cl.group(0).servers[*i].is_leader())
             .collect();
         assert_eq!(leaders.len(), 1, "a new leader must emerge");
         let new_leader = leaders[0];
-        let ev = cl.servers[new_leader].propose(Bytes::from_static(b"b"));
+        let ev = cl.group(0).servers[new_leader].propose(Bytes::from_static(b"b"));
         let out = sim.block_on({
             let ev = ev.clone();
             async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
@@ -720,7 +725,7 @@ mod tests {
     fn follower_logs_converge() {
         let (sim, _world, cl) = cluster(3, true);
         for i in 0..20u32 {
-            let ev = cl.servers[0].propose(Bytes::from(vec![i as u8; 16]));
+            let ev = cl.group(0).servers[0].propose(Bytes::from(vec![i as u8; 16]));
             sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(1)).await }
@@ -728,14 +733,14 @@ mod tests {
         }
         // Let heartbeat catch-up finish.
         sim.run_until_time(sim.now() + Duration::from_secs(1));
-        let leader_last = cl.servers[0].core().log.last_index();
+        let leader_last = cl.group(0).servers[0].core().log.last_index();
         assert!(leader_last >= 20);
-        for s in &cl.servers[1..] {
+        for s in &cl.group(0).servers[1..] {
             assert_eq!(s.core().log.last_index(), leader_last);
             for i in 1..=leader_last {
                 assert_eq!(
                     s.core().log.term_at(i),
-                    cl.servers[0].core().log.term_at(i),
+                    cl.group(0).servers[0].core().log.term_at(i),
                     "log matching at {i}"
                 );
             }

@@ -26,8 +26,7 @@ pub mod sync_driver;
 pub mod types;
 
 pub use cluster::{
-    build_cluster, build_multi_cluster, build_multi_cluster_placed, GroupPlacement,
-    MultiRaftCluster, RaftCluster, RaftGroup, RaftKind,
+    build_cluster, build_groups, GroupPlacement, Layout, RaftCluster, RaftGroup, RaftKind,
 };
 pub use core::{RaftCfg, RaftCore, RaftServer, Role};
 pub use types::{AppendReq, AppendResp, VoteReq, VoteResp};

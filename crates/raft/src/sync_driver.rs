@@ -218,7 +218,7 @@ mod tests {
     fn drive(sim: &Sim, cl: &crate::cluster::RaftCluster, n: u32, size: usize) -> u32 {
         let mut committed = 0;
         for i in 0..n {
-            let ev = cl.servers[0].propose(Bytes::from(vec![(i % 251) as u8; size]));
+            let ev = cl.group(0).servers[0].propose(Bytes::from(vec![(i % 251) as u8; size]));
             let out = sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
@@ -243,7 +243,7 @@ mod tests {
         // next_index falls behind the cache floor.
         world.set_egress_delay(NodeId(2), Duration::from_millis(400));
         drive(&sim, &cl, 200, 1024);
-        let leader_log = &cl.servers[0].core().log;
+        let leader_log = &cl.group(0).servers[0].core().log;
         assert!(
             leader_log.cache_misses() > 0,
             "lagging follower should push reads below the cache floor"

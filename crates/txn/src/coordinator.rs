@@ -12,21 +12,12 @@ use std::time::Duration;
 use bytes::Bytes;
 use depfast::event::{AndEvent, OrEvent, QuorumEvent, QuorumMode, Signal, Watchable};
 use depfast::runtime::Runtime;
+use depfast_kv::ShardMap;
 use depfast_rpc::wire::WireRead;
 use depfast_rpc::{group_method, Endpoint};
 use simkit::NodeId;
 
 use crate::command::{TxnCmd, TxnVote, TxnWrite, TXN_EXEC};
-
-/// Routes a key to a shard by FNV-1a hash.
-pub fn shard_of(key: &Bytes, n_shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.iter() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    (h % n_shards as u64) as usize
-}
 
 /// Transaction failure modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +44,8 @@ pub struct TxnClient {
     rt: Runtime,
     ep: Endpoint,
     shards: Vec<Vec<NodeId>>,
+    /// Key → shard routing (shard `i` is group index `i + 1`).
+    map: ShardMap,
     leaders: RefCell<HashMap<usize, NodeId>>,
     client_id: u64,
     seq: Cell<u64>,
@@ -66,6 +59,7 @@ impl TxnClient {
         TxnClient {
             rt,
             ep,
+            map: ShardMap::new(shards.len()),
             shards,
             leaders: RefCell::new(HashMap::new()),
             client_id,
@@ -109,7 +103,7 @@ impl TxnClient {
         // Group writes by shard.
         let mut by_shard: HashMap<usize, Vec<TxnWrite>> = HashMap::new();
         for (key, value) in writes {
-            let shard = shard_of(&key, self.shards.len());
+            let shard = (self.map.group_of(&key) - 1) as usize;
             by_shard
                 .entry(shard)
                 .or_default()

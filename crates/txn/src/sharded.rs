@@ -2,20 +2,17 @@
 //! (client) hosts — the topology of the paper's Figure 2 (3 shards ×
 //! 3 servers, s1–s9, with clients c1–c3).
 //!
-//! Built on the real multi-group cluster layer
-//! ([`build_multi_cluster_placed`]): shard `i` is Raft group `i + 1`, so
-//! transaction RPCs ride group-namespaced method ids and every group's
-//! Raft metrics and health events carry its `g{gid}` label. Placement is
-//! [`GroupPlacement::Disjoint`] to preserve the figure's one-shard-per-
-//! node-triple layout.
+//! Built on the one cluster builder ([`build_groups`]): shard `i` is Raft
+//! group `i + 1`, so transaction RPCs ride group-namespaced method ids
+//! and every group's Raft metrics and health events carry its `g{gid}`
+//! label. Placement is [`GroupPlacement::Disjoint`] to preserve the
+//! figure's one-shard-per-node-triple layout. Keys route to shards
+//! through the KV layer's [`ShardMap`].
 
-use depfast::runtime::Runtime;
 use depfast::Tracer;
-use depfast_raft::cluster::{
-    build_multi_cluster_placed, rpc_cfg_for, GroupPlacement, MultiRaftCluster, RaftKind,
-};
+use depfast_kv::ShardMap;
+use depfast_raft::cluster::{build_groups, GroupPlacement, Layout, RaftCluster, RaftKind};
 use depfast_raft::core::RaftCfg;
-use depfast_rpc::Endpoint;
 use simkit::{NodeId, Sim, World};
 
 use crate::coordinator::TxnClient;
@@ -25,7 +22,7 @@ use crate::server::TxnServer;
 pub struct ShardedCluster {
     /// The underlying multi-group Raft cluster (shard `i` is group
     /// `i + 1`).
-    pub raft: MultiRaftCluster,
+    pub raft: RaftCluster,
     /// `servers[shard][replica]`.
     pub servers: Vec<Vec<TxnServer>>,
     /// Shard membership (node ids), `shards[shard]`.
@@ -50,18 +47,13 @@ impl ShardedCluster {
         n_clients: usize,
         cfg: RaftCfg,
     ) -> Self {
-        let total_servers = n_shards * group_size;
-        assert!(world.node_count() >= total_servers + n_clients);
-        let raft = build_multi_cluster_placed(
-            sim,
-            world,
-            RaftKind::DepFast,
-            n_shards,
-            total_servers,
+        let layout = Layout::Groups {
+            groups: n_shards,
+            nodes: n_shards * group_size,
             group_size,
-            cfg,
-            GroupPlacement::Disjoint,
-        );
+            placement: GroupPlacement::Disjoint,
+        };
+        let raft = build_groups(sim, world, RaftKind::DepFast, layout, cfg);
         let servers: Vec<Vec<TxnServer>> = raft
             .groups
             .iter()
@@ -73,28 +65,21 @@ impl ShardedCluster {
             })
             .collect();
         let shards: Vec<Vec<NodeId>> = raft.groups.iter().map(|g| g.members.clone()).collect();
-        let tracer = raft.tracer.clone();
-        let mut clients = Vec::with_capacity(n_clients);
-        let mut client_nodes = Vec::with_capacity(n_clients);
-        for i in 0..n_clients {
-            let node = NodeId((total_servers + i) as u32);
-            let rt = Runtime::with_tracer(sim.clone(), node, tracer.clone());
-            let ep = Endpoint::new(&rt, world, &raft.registry, rpc_cfg_for(RaftKind::DepFast));
-            clients.push(TxnClient::new(rt, ep, shards.clone(), i as u64 + 1));
-            client_nodes.push(node);
-        }
+        let (clients, client_nodes) = raft.client_hosts(sim, world, n_clients, |ep, id| {
+            TxnClient::new(ep.runtime().clone(), ep, shards.clone(), id)
+        });
         ShardedCluster {
+            tracer: raft.tracer.clone(),
             raft,
             servers,
             shards,
             clients,
             client_nodes,
-            tracer,
         }
     }
 
-    /// Routes a key to its shard (same hash the coordinator uses).
+    /// Routes a key to its shard (the coordinator's [`ShardMap`] routing).
     pub fn shard_of(&self, key: &bytes::Bytes) -> usize {
-        crate::coordinator::shard_of(key, self.shards.len())
+        (ShardMap::new(self.shards.len()).group_of(key) - 1) as usize
     }
 }

@@ -38,6 +38,7 @@ fn main() {
     ));
     let cores: Vec<Rc<RaftCore>> = cluster
         .raft
+        .group(0)
         .servers
         .iter()
         .map(|s| s.core().clone())

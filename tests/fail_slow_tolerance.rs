@@ -96,7 +96,8 @@ fn callback_raft_p99_inflates_under_cpu_slow_follower() {
 fn backlog_raft_leader_memory_grows_under_cpu_slow_follower() {
     // (The OOM crash itself is covered in the driver's unit tests and the
     // fig1 bench; here we check the precursor at test scale.)
-    use depfast_kv::KvCluster;
+    use depfast_kv::{ShardedKvCluster, DEFAULT_SERVE_CPU};
+    use depfast_raft::cluster::Layout;
     use depfast_raft::core::RaftCfg;
     use simkit::{NodeId, Sim, World};
     use std::rc::Rc;
@@ -106,16 +107,17 @@ fn backlog_raft_leader_memory_grows_under_cpu_slow_follower() {
         sim.clone(),
         depfast_bench::experiment::bench_world_cfg(3 + 32),
     );
-    let cluster = Rc::new(KvCluster::build(
+    let cluster = Rc::new(ShardedKvCluster::build(
         &sim,
         &world,
         RaftKind::Backlog,
-        3,
+        Layout::Single(3),
         32,
         RaftCfg {
             bootstrap_leader: Some(0),
             ..RaftCfg::default()
         },
+        DEFAULT_SERVE_CPU,
     ));
     world.set_cpu_quota(NodeId(2), 0.01);
     let before = world.mem_used(NodeId(0));

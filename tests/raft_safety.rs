@@ -33,7 +33,7 @@ fn world(sim: &Sim, nodes: usize) -> World {
 fn drive(sim: &Sim, cl: &depfast_raft::cluster::RaftCluster, n: u32, size: usize) -> u32 {
     let mut ok = 0;
     for i in 0..n {
-        let ev = cl.servers[0].propose(Bytes::from(vec![(i % 251) as u8; size]));
+        let ev = cl.group(0).servers[0].propose(Bytes::from(vec![(i % 251) as u8; size]));
         let out = sim.block_on({
             let ev = ev.clone();
             async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
@@ -75,9 +75,9 @@ fn logs_match_across_replicas_under_transient_fault() {
         assert!(committed >= 58, "{}: committed {committed}", kind.name());
         // Give the laggard time to catch up after the fault clears.
         sim.run_until_time(sim.now() + Duration::from_secs(5));
-        let leader_log = &cl.servers[0].core().log;
+        let leader_log = &cl.group(0).servers[0].core().log;
         let last = leader_log.last_index();
-        for s in &cl.servers[1..] {
+        for s in &cl.group(0).servers[1..] {
             let flog = &s.core().log;
             assert_eq!(
                 flog.last_index(),
@@ -116,10 +116,10 @@ fn no_commit_without_majority() {
     assert_eq!(drive(&sim, &cl, 10, 32), 10);
     w.crash(NodeId(1));
     w.crash(NodeId(2));
-    let before = cl.servers[0].core().commit.get();
+    let before = cl.group(0).servers[0].core().commit.get();
     let committed = drive(&sim, &cl, 5, 32);
     assert_eq!(committed, 0, "no majority, no commit");
-    assert_eq!(cl.servers[0].core().commit.get(), before);
+    assert_eq!(cl.group(0).servers[0].core().commit.get(), before);
 }
 
 /// Linearizable sessions: a value read after a commit reflects it, for
@@ -204,7 +204,10 @@ fn identical_seeds_identical_outcomes() {
             },
         );
         drive(&sim, &cl, 30, 64);
-        (sim.now().as_nanos(), cl.servers[0].core().commit.get())
+        (
+            sim.now().as_nanos(),
+            cl.group(0).servers[0].core().commit.get(),
+        )
     };
     assert_eq!(run(77), run(77));
     assert_ne!(run(77).0, run(78).0);
