@@ -7,7 +7,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use simkit::{NodeId, SimTime};
+use simkit::{NodeId, SimTime, TimerId};
 
 use crate::runtime::{
     current_coro, current_coro_label, current_phase, swap_current_phase, trace_ctx, Runtime,
@@ -294,7 +294,7 @@ impl EventHandle {
             handle: self.clone(),
             deadline: None,
             begun_at: None,
-            timer_armed: false,
+            timer: None,
         }
     }
 
@@ -304,7 +304,7 @@ impl EventHandle {
             handle: self.clone(),
             deadline: Some(self.rt.now() + d),
             begun_at: None,
-            timer_armed: false,
+            timer: None,
         }
     }
 
@@ -327,7 +327,9 @@ pub struct Wait {
     handle: EventHandle,
     deadline: Option<SimTime>,
     begun_at: Option<SimTime>,
-    timer_armed: bool,
+    /// The deadline's timer, once armed; cancelled when the wait resolves
+    /// early or is dropped.
+    timer: Option<TimerId>,
 }
 
 impl Wait {
@@ -386,13 +388,20 @@ impl Future for Wait {
                 self.finish(WaitResult::Timeout);
                 return Poll::Ready(WaitResult::Timeout);
             }
-            if !self.timer_armed {
-                self.timer_armed = true;
-                h.rt.schedule_wake(deadline, cx.waker().clone());
+            if self.timer.is_none() {
+                self.timer = Some(h.rt.schedule_wake(deadline, cx.waker().clone()));
             }
         }
         h.register_waker(cx.waker().clone());
         Poll::Pending
+    }
+}
+
+impl Drop for Wait {
+    fn drop(&mut self) {
+        if let Some(id) = self.timer {
+            self.handle.rt.cancel_timer(id);
+        }
     }
 }
 

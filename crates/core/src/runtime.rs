@@ -19,7 +19,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use simkit::{LocalBoxFuture, NodeId, Sim, SimTime};
+use simkit::{LocalBoxFuture, NodeId, Sim, SimTime, TimerId};
 
 use crate::trace::{TraceCtx, TraceRecord, Tracer};
 
@@ -36,7 +36,9 @@ pub trait TimeDriver {
     /// Current (virtual) time.
     fn now(&self) -> SimTime;
     /// Wakes `waker` at instant `at`.
-    fn schedule_wake(&self, at: SimTime, waker: Waker);
+    fn schedule_wake(&self, at: SimTime, waker: Waker) -> TimerId;
+    /// Cancels a pending timer; a no-op once it fired or was cancelled.
+    fn cancel_timer(&self, id: TimerId);
     /// Runs `f` on the scheduler thread at instant `at`.
     fn schedule_call(&self, at: SimTime, f: Box<dyn FnOnce()>);
     /// Spawns a task.
@@ -51,8 +53,11 @@ impl TimeDriver for SimDriver {
     fn now(&self) -> SimTime {
         self.0.now()
     }
-    fn schedule_wake(&self, at: SimTime, waker: Waker) {
-        self.0.schedule_wake(at, waker);
+    fn schedule_wake(&self, at: SimTime, waker: Waker) -> TimerId {
+        self.0.schedule_wake(at, waker)
+    }
+    fn cancel_timer(&self, id: TimerId) {
+        self.0.cancel_timer(id);
     }
     fn schedule_call(&self, at: SimTime, f: Box<dyn FnOnce()>) {
         self.0.schedule_call(at, f);
@@ -125,8 +130,15 @@ impl Runtime {
     }
 
     /// Wakes `waker` at instant `at`.
-    pub fn schedule_wake(&self, at: SimTime, waker: Waker) {
-        self.inner.driver.schedule_wake(at, waker);
+    pub fn schedule_wake(&self, at: SimTime, waker: Waker) -> TimerId {
+        self.inner.driver.schedule_wake(at, waker)
+    }
+
+    /// Cancels a pending timer; a no-op once it fired or was cancelled.
+    /// Futures that arm a timer cancel it on drop, so a wait abandoned
+    /// before its deadline leaves no stale wake behind.
+    pub fn cancel_timer(&self, id: TimerId) {
+        self.inner.driver.cancel_timer(id);
     }
 
     /// Runs `f` on the scheduler thread at instant `at`.
@@ -140,7 +152,7 @@ impl Runtime {
         DriverSleep {
             rt: self.clone(),
             deadline,
-            armed: false,
+            timer: None,
         }
         .await
     }
@@ -170,7 +182,7 @@ impl Runtime {
 struct DriverSleep {
     rt: Runtime,
     deadline: SimTime,
-    armed: bool,
+    timer: Option<TimerId>,
 }
 
 impl Future for DriverSleep {
@@ -180,11 +192,18 @@ impl Future for DriverSleep {
         if self.rt.now() >= self.deadline {
             Poll::Ready(())
         } else {
-            if !self.armed {
-                self.armed = true;
-                self.rt.schedule_wake(self.deadline, cx.waker().clone());
+            if self.timer.is_none() {
+                self.timer = Some(self.rt.schedule_wake(self.deadline, cx.waker().clone()));
             }
             Poll::Pending
+        }
+    }
+}
+
+impl Drop for DriverSleep {
+    fn drop(&mut self) {
+        if let Some(id) = self.timer {
+            self.rt.cancel_timer(id);
         }
     }
 }

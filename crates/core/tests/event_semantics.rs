@@ -39,6 +39,27 @@ fn fire_and_deadline_same_instant_is_deterministic() {
     assert_eq!(a, b, "same-instant resolution must be deterministic");
 }
 
+/// A wait that resolves before its deadline cancels its timer: no live
+/// timer is left behind to fire later as a stale wake, and the clock does
+/// not run on to the abandoned deadline.
+#[test]
+fn early_resolving_wait_timeout_leaves_no_live_timer() {
+    let (sim, rt) = rt();
+    let n = Notify::new(&rt);
+    let n2 = n.clone();
+    let rt2 = rt.clone();
+    Coroutine::create(&rt, "firer", async move {
+        rt2.sleep(Duration::from_millis(1)).await;
+        n2.set(Signal::Ok);
+    });
+    let h = n.handle().clone();
+    let out = sim.spawn(async move { h.wait_timeout(Duration::from_secs(5)).await });
+    sim.run();
+    assert_eq!(out.try_take(), Some(WaitResult::Ready));
+    assert_eq!(sim.live_timers(), 0);
+    assert_eq!(sim.now().as_nanos(), 1_000_000);
+}
+
 /// Waiting on an event after its wait timed out earlier still works.
 #[test]
 fn rewait_after_timeout_sees_late_fire() {

@@ -56,6 +56,13 @@ impl WireWrite for KvRequest {
         self.key.write(buf);
         self.value.write(buf);
     }
+    fn wire_len(&self) -> usize {
+        self.client.wire_len()
+            + self.seq.wire_len()
+            + self.op.to_u8().wire_len()
+            + self.key.wire_len()
+            + self.value.wire_len()
+    }
 }
 
 impl WireRead for KvRequest {
@@ -146,6 +153,9 @@ impl WireWrite for KvResponse {
         self.value.write(buf);
         self.leader_hint.write(buf);
     }
+    fn wire_len(&self) -> usize {
+        self.status.to_u8().wire_len() + self.value.wire_len() + self.leader_hint.wire_len()
+    }
 }
 
 impl WireRead for KvResponse {
@@ -171,6 +181,7 @@ mod tests {
             key: Bytes::from_static(b"user001"),
             value: Bytes::from(vec![7u8; 100]),
         };
+        assert_eq!(r.wire_len(), r.to_bytes().len());
         assert_eq!(KvRequest::from_bytes(&r.to_bytes()), Some(r));
     }
 
@@ -184,6 +195,7 @@ mod tests {
                 key: Bytes::from_static(b"k"),
                 value: Bytes::new(),
             };
+            assert_eq!(r.wire_len(), r.to_bytes().len());
             assert_eq!(KvRequest::from_bytes(&r.to_bytes()), Some(r));
         }
     }
@@ -197,6 +209,7 @@ mod tests {
             KvResponse::not_leader(None),
             KvResponse::error(),
         ] {
+            assert_eq!(resp.wire_len(), resp.to_bytes().len());
             assert_eq!(KvResponse::from_bytes(&resp.to_bytes()), Some(resp));
         }
     }

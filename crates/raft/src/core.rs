@@ -21,7 +21,7 @@ use depfast_rpc::proxy::RpcEvent;
 use depfast_rpc::wire::WireRead;
 use depfast_rpc::{group_method, Endpoint, Method};
 use depfast_storage::{Entry, LogStore, LogStoreCfg};
-use simkit::{NodeId, SimTime, World};
+use simkit::{NodeId, SimTime, TimerId, World};
 
 use crate::types::{
     from_wire, AppendReq, AppendResp, VoteReq, VoteResp, APPEND_ENTRIES, PRE_VOTE, REQUEST_VOTE,
@@ -172,7 +172,7 @@ impl ProposalQueue {
             q: self.inner.clone(),
             max,
             deadline,
-            armed: false,
+            timer: None,
         }
     }
 }
@@ -183,7 +183,9 @@ pub struct PopBatch {
     q: Rc<RefCell<Pq>>,
     max: usize,
     deadline: Option<SimTime>,
-    armed: bool,
+    /// The deadline's timer, once armed; cancelled on drop so a batch
+    /// that fills before its deadline leaves no stale wake behind.
+    timer: Option<TimerId>,
 }
 
 impl Future for PopBatch {
@@ -202,12 +204,19 @@ impl Future for PopBatch {
             if self.rt.now() >= dl {
                 return Poll::Ready(Vec::new());
             }
-            if !self.armed {
-                self.armed = true;
-                self.rt.schedule_wake(dl, cx.waker().clone());
+            if self.timer.is_none() {
+                self.timer = Some(self.rt.schedule_wake(dl, cx.waker().clone()));
             }
         }
         Poll::Pending
+    }
+}
+
+impl Drop for PopBatch {
+    fn drop(&mut self) {
+        if let Some(id) = self.timer {
+            self.rt.cancel_timer(id);
+        }
     }
 }
 

@@ -28,6 +28,9 @@ impl WireWrite for WireEntry {
         self.0.index.write(buf);
         self.0.payload.write(buf);
     }
+    fn wire_len(&self) -> usize {
+        self.0.term.wire_len() + self.0.index.wire_len() + self.0.payload.wire_len()
+    }
 }
 
 impl WireRead for WireEntry {
@@ -158,6 +161,7 @@ mod tests {
             lazy: false,
         };
         let enc = req.to_bytes();
+        assert_eq!(req.wire_len(), enc.len());
         assert_eq!(AppendReq::from_bytes(&enc), Some(req));
     }
 
@@ -172,6 +176,7 @@ mod tests {
             commit: 0,
             lazy: true,
         };
+        assert_eq!(req.wire_len(), req.to_bytes().len());
         assert_eq!(AppendReq::from_bytes(&req.to_bytes()), Some(req));
     }
 
@@ -183,11 +188,13 @@ mod tests {
             last_index: 100,
             last_term: 8,
         };
+        assert_eq!(req.wire_len(), req.to_bytes().len());
         assert_eq!(VoteReq::from_bytes(&req.to_bytes()), Some(req));
         let resp = VoteResp {
             term: 9,
             granted: true,
         };
+        assert_eq!(resp.wire_len(), resp.to_bytes().len());
         assert_eq!(VoteResp::from_bytes(&resp.to_bytes()), Some(resp));
     }
 
@@ -199,6 +206,7 @@ mod tests {
             match_index: 17,
             verified: 21,
         };
+        assert_eq!(resp.wire_len(), resp.to_bytes().len());
         assert_eq!(AppendResp::from_bytes(&resp.to_bytes()), Some(resp));
     }
 

@@ -27,7 +27,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use depfast::runtime::{Coroutine, Runtime};
 use depfast_metrics::{Counter, Gauge};
-use simkit::{NodeId, World};
+use simkit::{NodeId, SimTime, TimerId, World};
 
 /// What to do when a bounded buffer is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,6 +167,7 @@ impl Connection {
                 let msg = PopMsg {
                     conn: c.clone(),
                     sim: world.sim().clone(),
+                    timer: None,
                 }
                 .await;
                 let Some(msg) = msg else { break };
@@ -338,15 +339,18 @@ impl Connection {
 struct PopMsg {
     conn: Connection,
     sim: simkit::Sim,
+    /// The credit-expiry wake, once armed, with the instant it fires at.
+    timer: Option<(TimerId, SimTime)>,
 }
 
 impl Future for PopMsg {
     type Output = Option<OutMsg>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<OutMsg>> {
-        let now = self.sim.now();
-        self.conn.reclaim_expired(now);
-        let mut inner = self.conn.inner.borrow_mut();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<OutMsg>> {
+        let this = &mut *self;
+        let now = this.sim.now();
+        this.conn.reclaim_expired(now);
+        let mut inner = this.conn.inner.borrow_mut();
         if inner.closed && inner.queue.is_empty() {
             return Poll::Ready(None);
         }
@@ -363,13 +367,28 @@ impl Future for PopMsg {
             }
             // Blocked on credits with traffic pending: arm a wake at the
             // oldest credit's expiry so a partition cannot wedge the link.
-            if let Some(t) = inner.outstanding.front() {
-                self.sim
-                    .schedule_wake(*t + CREDIT_TIMEOUT, cx.waker().clone());
+            // Every enqueue re-polls a blocked sender, so the wake is
+            // re-armed only when that expiry instant moves.
+            if let Some(&t) = inner.outstanding.front() {
+                let at = t + CREDIT_TIMEOUT;
+                if this.timer.is_none_or(|(_, armed)| armed != at) {
+                    if let Some((stale, _)) = this.timer.take() {
+                        this.sim.cancel_timer(stale);
+                    }
+                    this.timer = Some((this.sim.schedule_wake(at, cx.waker().clone()), at));
+                }
             }
         }
         inner.waker = Some(cx.waker().clone());
         Poll::Pending
+    }
+}
+
+impl Drop for PopMsg {
+    fn drop(&mut self) {
+        if let Some((id, _)) = self.timer {
+            self.sim.cancel_timer(id);
+        }
     }
 }
 
@@ -442,6 +461,35 @@ mod tests {
         // retransmission-timer analog), so the link never wedges.
         sim.run();
         assert_eq!(conn.sent(), 5);
+    }
+
+    #[test]
+    fn blocked_sender_arms_one_credit_timer_however_often_polled() {
+        let (sim, world, rt) = setup();
+        let conn = Connection::open(
+            &rt,
+            &world,
+            NodeId(1),
+            BufferPolicy::Unbounded,
+            1,
+            Duration::from_micros(1),
+        );
+        conn.enqueue(&world, msg(1));
+        conn.enqueue(&world, msg(1));
+        // The only credit is out; the sender blocks on the second message.
+        sim.run_until_time(sim.now() + Duration::from_millis(100));
+        assert_eq!((conn.sent(), conn.queue_len()), (1, 1));
+        let before = sim.timers_scheduled();
+        // Each enqueue wakes the blocked sender and re-polls it.
+        for _ in 0..20 {
+            conn.enqueue(&world, msg(1));
+            sim.run_until_time(sim.now() + Duration::from_millis(1));
+        }
+        assert_eq!(conn.sent(), 1);
+        assert_eq!(sim.timers_scheduled(), before, "re-polls must not re-arm");
+        // The one armed timer still reclaims the credit.
+        sim.run();
+        assert_eq!(conn.sent(), 22);
     }
 
     #[test]

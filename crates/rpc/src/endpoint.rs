@@ -500,6 +500,19 @@ mod tests {
         let out = sim.block_on(async move { ev2.handle().wait().await });
         assert!(out.is_ready());
         assert_eq!(ev.take().unwrap(), Bytes::from_static(b"ping"));
+        // The envelope both directions travel in encodes at its exact size.
+        let env = Envelope {
+            is_reply: true,
+            rpc_id: 9,
+            method: ECHO,
+            trace_id: 3,
+            parent_span: 4,
+            payload: Bytes::from_static(b"ping"),
+        };
+        let enc = env.to_bytes();
+        assert_eq!(env.wire_len(), enc.len());
+        let back = Envelope::from_bytes(&enc).unwrap();
+        assert_eq!((back.rpc_id, back.payload), (9, env.payload));
     }
 
     #[test]

@@ -13,10 +13,15 @@ pub trait WireWrite {
     /// Appends this value's encoding to `buf`.
     fn write(&self, buf: &mut BytesMut);
 
-    /// Convenience: encodes into a fresh buffer.
+    /// The exact number of bytes [`write`](Self::write) appends.
+    fn wire_len(&self) -> usize;
+
+    /// Convenience: encodes into a fresh buffer allocated at the final
+    /// size, so encoding never regrows it.
     fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(self.wire_len());
         self.write(&mut buf);
+        debug_assert_eq!(buf.len(), self.wire_len(), "wire_len is not exact");
         buf.freeze()
     }
 }
@@ -44,6 +49,9 @@ macro_rules! wire_uint {
             fn write(&self, buf: &mut BytesMut) {
                 buf.$put(*self);
             }
+            fn wire_len(&self) -> usize {
+                $len
+            }
         }
         impl WireRead for $ty {
             fn read(buf: &mut Bytes) -> Option<Self> {
@@ -65,6 +73,9 @@ impl WireWrite for bool {
     fn write(&self, buf: &mut BytesMut) {
         buf.put_u8(*self as u8);
     }
+    fn wire_len(&self) -> usize {
+        1
+    }
 }
 
 impl WireRead for bool {
@@ -81,6 +92,9 @@ impl WireWrite for Bytes {
     fn write(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.len() as u32);
         buf.put_slice(self);
+    }
+    fn wire_len(&self) -> usize {
+        4 + self.len()
     }
 }
 
@@ -99,6 +113,9 @@ impl WireWrite for String {
         buf.put_u32_le(self.len() as u32);
         buf.put_slice(self.as_bytes());
     }
+    fn wire_len(&self) -> usize {
+        4 + self.len()
+    }
 }
 
 impl WireRead for String {
@@ -114,6 +131,9 @@ impl<T: WireWrite> WireWrite for Vec<T> {
         for item in self {
             item.write(buf);
         }
+    }
+    fn wire_len(&self) -> usize {
+        4 + self.iter().map(WireWrite::wire_len).sum::<usize>()
     }
 }
 
@@ -142,6 +162,9 @@ impl<T: WireWrite> WireWrite for Option<T> {
                 v.write(buf);
             }
         }
+    }
+    fn wire_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, WireWrite::wire_len)
     }
 }
 
@@ -173,6 +196,7 @@ impl<T: WireRead> WireRead for Option<T> {
 ///
 /// let p = Ping { seq: 7, payload: Bytes::from_static(b"hi") };
 /// let enc = p.to_bytes();
+/// assert_eq!(enc.len(), p.wire_len());
 /// assert_eq!(Ping::from_bytes(&enc), Some(p));
 /// ```
 #[macro_export]
@@ -181,6 +205,9 @@ macro_rules! wire_struct {
         impl $crate::wire::WireWrite for $name {
             fn write(&self, buf: &mut bytes::BytesMut) {
                 $(self.$field.write(buf);)+
+            }
+            fn wire_len(&self) -> usize {
+                0 $(+ self.$field.wire_len())+
             }
         }
         impl $crate::wire::WireRead for $name {
@@ -222,6 +249,7 @@ mod tests {
     #[test]
     fn round_trip() {
         let s = sample();
+        assert_eq!(s.wire_len(), s.to_bytes().len());
         assert_eq!(Sample::from_bytes(&s.to_bytes()), Some(s));
     }
 
@@ -231,6 +259,7 @@ mod tests {
             d: None,
             ..sample()
         };
+        assert_eq!(s.wire_len(), s.to_bytes().len());
         assert_eq!(Sample::from_bytes(&s.to_bytes()), Some(s));
     }
 
@@ -272,6 +301,7 @@ mod tests {
             e: Bytes::new(),
             ..sample()
         };
+        assert_eq!(s.wire_len(), s.to_bytes().len());
         assert_eq!(Sample::from_bytes(&s.to_bytes()), Some(s));
     }
 }

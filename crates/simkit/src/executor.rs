@@ -14,7 +14,7 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -29,8 +29,24 @@ use rand::{Rng, SeedableRng};
 use crate::time::SimTime;
 use crate::LocalBoxFuture;
 
-/// Identifier of a spawned task, unique within one [`Sim`].
-pub type TaskId = u64;
+/// Identifier of a spawned task, unique within one [`Sim`]: a slot in the
+/// task table plus the generation of that slot, so a wake that outlives
+/// its task can never reach the task that later reuses the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaskId {
+    slot: u32,
+    gen: u32,
+}
+
+/// Handle to a scheduled timer, for [`Sim::cancel_timer`].
+///
+/// Cancelling a timer that already fired or was already cancelled is a
+/// no-op, so a future may cancel its timer unconditionally on drop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerId {
+    seq: u64,
+    slot: u32,
+}
 
 /// What a timer fires: either waking a task or running a callback.
 ///
@@ -41,27 +57,95 @@ enum TimerAction {
     Call(Box<dyn FnOnce()>),
 }
 
-struct TimerEntry {
-    at: SimTime,
-    seq: u64,
-    action: TimerAction,
+/// Heap key of a timer: fire instant, then schedule order (`seq` is unique,
+/// so timers due at one instant fire in the order they were scheduled),
+/// then the action's slot. A key whose slot no longer holds `seq` belongs
+/// to a cancelled timer and is skipped when popped.
+type TimerKey = Reverse<(SimTime, u64, u32)>;
+
+/// Pending timers: a min-heap of small keys over a slab of actions.
+#[derive(Default)]
+struct Timers {
+    heap: BinaryHeap<TimerKey>,
+    /// Actions by slot, tagged with the `seq` of the timer that owns the
+    /// slot; `None` once fired or cancelled.
+    slots: Vec<Option<(u64, TimerAction)>>,
+    free: Vec<u32>,
+    /// Timers scheduled so far (cancelled ones included); the next `seq`.
+    scheduled: u64,
 }
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
+impl Timers {
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn schedule(&mut self, at: SimTime, action: TimerAction) -> TimerId {
+        let seq = self.scheduled;
+        self.scheduled += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some((seq, action));
+                slot
+            }
+            None => {
+                self.slots.push(Some((seq, action)));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
+        TimerId { seq, slot }
+    }
+
+    /// Takes the action out of `slot` if timer `seq` still owns it.
+    fn take(&mut self, seq: u64, slot: u32) -> Option<TimerAction> {
+        let entry = self.slots.get_mut(slot as usize)?;
+        if !matches!(entry, Some((s, _)) if *s == seq) {
+            return None;
+        }
+        let (_, action) = entry.take()?;
+        self.free.push(slot);
+        Some(action)
+    }
+
+    /// Removes the action of `id` if it is still pending.
+    fn cancel(&mut self, id: TimerId) -> Option<TimerAction> {
+        let action = self.take(id.seq, id.slot)?;
+        // Dead keys are skipped lazily; once they outnumber the live ones,
+        // one O(n) rebuild drops them all (amortised O(1) per cancel).
+        if self.heap.len() > 2 * self.live() {
+            let slots = &self.slots;
+            self.heap.retain(|key| is_live(slots, key));
+        }
+        Some(action)
+    }
+
+    /// The fire instant of the earliest pending timer, discarding dead
+    /// keys on the way.
+    fn next_at(&mut self) -> Option<SimTime> {
+        while let Some(key) = self.heap.peek() {
+            if is_live(&self.slots, key) {
+                return Some(key.0 .0);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Pops every pending timer due at or before `at`, in schedule order.
+    fn pop_due(&mut self, at: SimTime, out: &mut Vec<TimerAction>) {
+        while let Some(&Reverse((t, seq, slot))) = self.heap.peek() {
+            if t > at {
+                break;
+            }
+            self.heap.pop();
+            out.extend(self.take(seq, slot));
+        }
     }
 }
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+
+fn is_live(slots: &[Option<(u64, TimerAction)>], &Reverse((_, seq, slot)): &TimerKey) -> bool {
+    matches!(slots[slot as usize], Some((s, _)) if s == seq)
 }
 
 /// The shared FIFO of tasks whose wakers have fired.
@@ -88,12 +172,21 @@ impl std::task::Wake for TaskWaker {
     }
 }
 
+/// One slot of the task table. `task` is `None` while the slot is free
+/// and while its task is being polled.
+struct TaskSlot {
+    gen: u32,
+    task: Option<(LocalBoxFuture<()>, Waker)>,
+}
+
 struct Core {
     now: SimTime,
-    next_task: TaskId,
-    next_timer_seq: u64,
-    tasks: HashMap<TaskId, (LocalBoxFuture<()>, Waker)>,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
+    tasks: Vec<TaskSlot>,
+    free_tasks: Vec<u32>,
+    timers: Timers,
+    /// Spare buffer `drain_ready` swaps with the woken queue, so a batch
+    /// is taken in one lock and no allocation.
+    batch: VecDeque<TaskId>,
     rng: SmallRng,
     /// Total tasks ever spawned, for diagnostics.
     spawned: u64,
@@ -133,10 +226,10 @@ impl Sim {
         Sim {
             core: Rc::new(RefCell::new(Core {
                 now: SimTime::ZERO,
-                next_task: 0,
-                next_timer_seq: 0,
-                tasks: HashMap::new(),
-                timers: BinaryHeap::new(),
+                tasks: Vec::new(),
+                free_tasks: Vec::new(),
+                timers: Timers::default(),
+                batch: VecDeque::new(),
                 rng: SmallRng::seed_from_u64(seed),
                 spawned: 0,
                 polls: 0,
@@ -155,9 +248,16 @@ impl Sim {
         self.core.borrow().spawned
     }
 
-    /// Number of timers scheduled so far (diagnostics).
+    /// Number of timers scheduled so far, cancelled ones included
+    /// (diagnostics).
     pub fn timers_scheduled(&self) -> u64 {
-        self.core.borrow().next_timer_seq
+        self.core.borrow().timers.scheduled
+    }
+
+    /// Number of timers scheduled and neither fired nor cancelled yet
+    /// (diagnostics).
+    pub fn live_timers(&self) -> usize {
+        self.core.borrow().timers.live()
     }
 
     /// Number of task polls performed so far (diagnostics).
@@ -206,16 +306,27 @@ impl Sim {
         });
         let id = {
             let mut core = self.core.borrow_mut();
-            let id = core.next_task;
-            core.next_task += 1;
             core.spawned += 1;
+            let id = match core.free_tasks.pop() {
+                Some(slot) => TaskId {
+                    slot,
+                    gen: core.tasks[slot as usize].gen,
+                },
+                None => {
+                    core.tasks.push(TaskSlot { gen: 0, task: None });
+                    TaskId {
+                        slot: (core.tasks.len() - 1) as u32,
+                        gen: 0,
+                    }
+                }
+            };
             // One waker per task for its whole life: lets futures
             // deduplicate registrations via `Waker::will_wake`.
             let waker = Waker::from(Arc::new(TaskWaker {
                 id,
                 woken: self.woken.clone(),
             }));
-            core.tasks.insert(id, (wrapped, waker));
+            core.tasks[id.slot as usize].task = Some((wrapped, waker));
             id
         };
         self.woken.queue.lock().push_back(id);
@@ -223,30 +334,31 @@ impl Sim {
     }
 
     /// Schedules `waker` to be woken at virtual instant `at`.
-    pub fn schedule_wake(&self, at: SimTime, waker: Waker) {
-        let mut core = self.core.borrow_mut();
-        let seq = core.next_timer_seq;
-        core.next_timer_seq += 1;
-        core.timers.push(Reverse(TimerEntry {
-            at,
-            seq,
-            action: TimerAction::Wake(waker),
-        }));
+    pub fn schedule_wake(&self, at: SimTime, waker: Waker) -> TimerId {
+        self.core
+            .borrow_mut()
+            .timers
+            .schedule(at, TimerAction::Wake(waker))
     }
 
     /// Schedules `f` to run on the executor thread at virtual instant `at`.
     ///
     /// This is how the network model delivers messages: the callback runs
     /// between task polls, so it may freely borrow shared state.
-    pub fn schedule_call(&self, at: SimTime, f: impl FnOnce() + 'static) {
-        let mut core = self.core.borrow_mut();
-        let seq = core.next_timer_seq;
-        core.next_timer_seq += 1;
-        core.timers.push(Reverse(TimerEntry {
-            at,
-            seq,
-            action: TimerAction::Call(Box::new(f)),
-        }));
+    pub fn schedule_call(&self, at: SimTime, f: impl FnOnce() + 'static) -> TimerId {
+        self.core
+            .borrow_mut()
+            .timers
+            .schedule(at, TimerAction::Call(Box::new(f)))
+    }
+
+    /// Cancels a pending timer: its waker is never woken, its callback
+    /// never runs. A no-op if the timer already fired or was cancelled.
+    pub fn cancel_timer(&self, id: TimerId) {
+        let action = self.core.borrow_mut().timers.cancel(id);
+        // Dropped after the borrow ends: a callback's captures may touch
+        // the simulator from their destructors.
+        drop(action);
     }
 
     /// Returns a future that completes after virtual duration `d`.
@@ -259,7 +371,7 @@ impl Sim {
         Sleep {
             sim: self.clone(),
             deadline,
-            armed: false,
+            timer: None,
         }
     }
 
@@ -313,7 +425,7 @@ impl Sim {
     pub fn run_until_time(&self, deadline: SimTime) {
         loop {
             self.drain_ready();
-            let next = self.next_timer_at();
+            let next = self.core.borrow_mut().timers.next_at();
             match next {
                 Some(at) if at <= deadline => {
                     self.advance_to_next_timer();
@@ -329,27 +441,52 @@ impl Sim {
         }
     }
 
-    fn next_timer_at(&self) -> Option<SimTime> {
-        self.core.borrow().timers.peek().map(|Reverse(e)| e.at)
+    /// Polls tasks from the woken queue until it is empty. Each batch is
+    /// taken in one lock; tasks woken while it runs form the next batch,
+    /// which keeps the order exactly FIFO.
+    fn drain_ready(&self) {
+        let mut batch = std::mem::take(&mut self.core.borrow_mut().batch);
+        loop {
+            std::mem::swap(&mut *self.woken.queue.lock(), &mut batch);
+            if batch.is_empty() {
+                break;
+            }
+            while let Some(id) = batch.pop_front() {
+                self.poll_task(id);
+            }
+        }
+        self.core.borrow_mut().batch = batch;
     }
 
-    /// Polls tasks from the woken queue until it is empty.
-    fn drain_ready(&self) {
-        loop {
-            let id = { self.woken.queue.lock().pop_front() };
-            let Some(id) = id else { break };
-            // Take the task out of the map so the poll can spawn/schedule
-            // without re-borrowing the core.
-            let Some((mut fut, waker)) = self.core.borrow_mut().tasks.remove(&id) else {
-                continue; // Already finished; stale wake.
+    fn poll_task(&self, id: TaskId) {
+        // Take the task out of its slot so the poll can spawn/schedule
+        // without re-borrowing the core.
+        let (mut fut, waker) = {
+            let mut core = self.core.borrow_mut();
+            let slot = &mut core.tasks[id.slot as usize];
+            if slot.gen != id.gen {
+                return; // Already finished; stale wake.
+            }
+            let Some(task) = slot.task.take() else {
+                return;
             };
-            self.core.borrow_mut().polls += 1;
-            let mut cx = Context::from_waker(&waker);
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => {}
-                Poll::Pending => {
-                    self.core.borrow_mut().tasks.insert(id, (fut, waker));
+            core.polls += 1;
+            task
+        };
+        let mut cx = Context::from_waker(&waker);
+        match fut.as_mut().poll(&mut cx) {
+            Poll::Ready(()) => {
+                {
+                    let mut core = self.core.borrow_mut();
+                    let slot = &mut core.tasks[id.slot as usize];
+                    slot.gen = slot.gen.wrapping_add(1);
+                    core.free_tasks.push(id.slot);
                 }
+                // The finished future's destructors may cancel timers.
+                drop(fut);
+            }
+            Poll::Pending => {
+                self.core.borrow_mut().tasks[id.slot as usize].task = Some((fut, waker));
             }
         }
     }
@@ -360,19 +497,12 @@ impl Sim {
         let mut actions = Vec::new();
         {
             let mut core = self.core.borrow_mut();
-            let Some(Reverse(first)) = core.timers.peek() else {
+            let Some(at) = core.timers.next_at() else {
                 return false;
             };
-            let at = first.at;
             debug_assert!(at >= core.now, "timer scheduled in the past");
             core.now = core.now.max(at);
-            while let Some(Reverse(e)) = core.timers.peek() {
-                if e.at > at {
-                    break;
-                }
-                let Reverse(e) = core.timers.pop().expect("peeked entry exists");
-                actions.push(e.action);
-            }
+            core.timers.pop_due(at, &mut actions);
         }
         for action in actions {
             match action {
@@ -423,10 +553,12 @@ impl<T> Future for JoinHandle<T> {
 }
 
 /// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
+///
+/// Dropping it before the deadline cancels its timer.
 pub struct Sleep {
     sim: Sim,
     deadline: SimTime,
-    armed: bool,
+    timer: Option<TimerId>,
 }
 
 impl Sleep {
@@ -445,11 +577,18 @@ impl Future for Sleep {
         } else {
             // Arm the wake-up once; re-polls (spurious wakes) must not
             // multiply timers.
-            if !self.armed {
-                self.armed = true;
-                self.sim.schedule_wake(self.deadline, cx.waker().clone());
+            if self.timer.is_none() {
+                self.timer = Some(self.sim.schedule_wake(self.deadline, cx.waker().clone()));
             }
             Poll::Pending
+        }
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        if let Some(id) = self.timer {
+            self.sim.cancel_timer(id);
         }
     }
 }
@@ -534,6 +673,108 @@ mod tests {
         }
         sim.run();
         assert_eq!(*hits.borrow(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn cancelled_timer_never_fires_or_wakes() {
+        let sim = Sim::new(1);
+        let called = Rc::new(Cell::new(false));
+        let c = called.clone();
+        let call = sim.schedule_call(SimTime::from_millis(1), move || c.set(true));
+        // A task that arms a wake on its first poll and then stays parked.
+        let polls = Rc::new(Cell::new(0));
+        let armed = Rc::new(Cell::new(None));
+        let (p, a, s) = (polls.clone(), armed.clone(), sim.clone());
+        sim.spawn(std::future::poll_fn(move |cx| {
+            p.set(p.get() + 1);
+            if a.get().is_none() {
+                a.set(Some(
+                    s.schedule_wake(SimTime::from_millis(2), cx.waker().clone()),
+                ));
+            }
+            Poll::<()>::Pending
+        }));
+        sim.run_until_time(SimTime::ZERO);
+        assert_eq!((polls.get(), sim.live_timers()), (1, 2));
+        sim.cancel_timer(call);
+        sim.cancel_timer(armed.get().unwrap());
+        assert_eq!(sim.live_timers(), 0);
+        sim.run();
+        assert!(!called.get());
+        assert_eq!(polls.get(), 1, "a cancelled wake must not re-poll");
+        assert_eq!(sim.now(), SimTime::ZERO, "nothing left to advance to");
+        assert_eq!(sim.timers_scheduled(), 2, "cancelled timers still count");
+    }
+
+    #[test]
+    fn cancel_after_fire_or_twice_is_a_no_op() {
+        let sim = Sim::new(1);
+        let hits = Rc::new(RefCell::new(Vec::new()));
+        let h = hits.clone();
+        let fired = sim.schedule_call(SimTime::from_millis(1), move || h.borrow_mut().push(1));
+        sim.run();
+        // The next timer reuses the fired one's slot; the stale id must
+        // not reach it.
+        let h = hits.clone();
+        sim.schedule_call(SimTime::from_millis(2), move || h.borrow_mut().push(2));
+        sim.cancel_timer(fired);
+        let h = hits.clone();
+        let twice = sim.schedule_call(SimTime::from_millis(3), move || h.borrow_mut().push(3));
+        sim.cancel_timer(twice);
+        sim.cancel_timer(twice);
+        assert_eq!(sim.live_timers(), 1);
+        sim.run();
+        assert_eq!(*hits.borrow(), vec![1, 2]);
+    }
+
+    #[test]
+    fn same_instant_order_survives_heavy_cancellation() {
+        let sim = Sim::new(1);
+        let hits = Rc::new(RefCell::new(Vec::new()));
+        let mut ids = Vec::new();
+        for i in 0..2000u64 {
+            let h = hits.clone();
+            // Four instants, interleaved, so every instant has many peers.
+            let at = SimTime::from_millis(1 + i % 4);
+            ids.push((i, sim.schedule_call(at, move || h.borrow_mut().push(i))));
+        }
+        // Cancel nine in ten: dead keys outnumber live ones many times
+        // over, forcing rebuilds.
+        let mut kept = Vec::new();
+        for (i, id) in ids {
+            if i % 10 == 3 {
+                kept.push(i);
+            } else {
+                sim.cancel_timer(id);
+            }
+        }
+        assert_eq!(sim.live_timers(), kept.len());
+        sim.run();
+        kept.sort_by_key(|i| (i % 4, *i));
+        assert_eq!(*hits.borrow(), kept);
+    }
+
+    #[test]
+    fn stale_wake_does_not_poll_the_task_reusing_the_slot() {
+        let sim = Sim::new(1);
+        let stale: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let st = stale.clone();
+        sim.spawn(std::future::poll_fn(move |cx| {
+            *st.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        }));
+        sim.run();
+        let polls = Rc::new(Cell::new(0));
+        let p = polls.clone();
+        sim.spawn(std::future::poll_fn(move |_| {
+            p.set(p.get() + 1);
+            Poll::<()>::Pending
+        }));
+        sim.run();
+        assert_eq!(sim.core.borrow().tasks.len(), 1, "the slot was reused");
+        stale.borrow().as_ref().unwrap().wake_by_ref();
+        sim.run();
+        assert_eq!(polls.get(), 1);
     }
 
     #[test]

@@ -21,6 +21,9 @@ impl WireWrite for TxnWrite {
         self.key.write(buf);
         self.value.write(buf);
     }
+    fn wire_len(&self) -> usize {
+        self.key.wire_len() + self.value.wire_len()
+    }
 }
 
 impl WireRead for TxnWrite {
@@ -72,6 +75,13 @@ impl WireWrite for TxnCmd {
             }
         }
     }
+    fn wire_len(&self) -> usize {
+        let body = match self {
+            TxnCmd::Prepare { txn, writes } => txn.wire_len() + writes.wire_len(),
+            TxnCmd::Commit { txn } | TxnCmd::Abort { txn } => txn.wire_len(),
+        };
+        1 + body
+    }
 }
 
 impl WireRead for TxnCmd {
@@ -112,6 +122,9 @@ impl WireWrite for TxnVote {
         };
         v.write(buf);
     }
+    fn wire_len(&self) -> usize {
+        1
+    }
 }
 
 impl WireRead for TxnVote {
@@ -144,12 +157,14 @@ mod tests {
                 },
             ],
         };
+        assert_eq!(cmd.wire_len(), cmd.to_bytes().len());
         assert_eq!(TxnCmd::from_bytes(&cmd.to_bytes()), Some(cmd));
     }
 
     #[test]
     fn commit_abort_round_trip() {
         for cmd in [TxnCmd::Commit { txn: 7 }, TxnCmd::Abort { txn: 7 }] {
+            assert_eq!(cmd.wire_len(), cmd.to_bytes().len());
             assert_eq!(TxnCmd::from_bytes(&cmd.to_bytes()), Some(cmd));
         }
     }
@@ -157,6 +172,7 @@ mod tests {
     #[test]
     fn votes_round_trip() {
         for v in [TxnVote::Yes, TxnVote::No, TxnVote::NotLeader] {
+            assert_eq!(v.wire_len(), v.to_bytes().len());
             assert_eq!(TxnVote::from_bytes(&v.to_bytes()), Some(v));
         }
     }

@@ -113,12 +113,15 @@ pub fn run_workload(
     let t_start = sim.now();
     let t_measure = t_start + cfg.warmup;
     let t_end = t_measure + cfg.measure;
+    // The key distribution is built once (zipfian setup is O(records))
+    // and re-seeded per client.
+    let proto = OpGen::new(spec, cfg.seed);
     for i in 0..cluster.clients.len() {
         let cluster = cluster.clone();
         let total = total.clone();
         let per_group = per_group.clone();
         let sim2 = sim.clone();
-        let mut gen = OpGen::new(spec, cfg.seed.wrapping_add(i as u64 * 7919));
+        let mut gen = proto.reseeded(cfg.seed.wrapping_add(i as u64 * 7919));
         // Each client loop is a proper coroutine so the causal context a
         // `KvClient` operation sets stays scoped to this session instead
         // of leaking through the ambient slot into unrelated tasks.

@@ -90,23 +90,56 @@ impl WorkloadSpec {
     }
 }
 
+/// The key distribution of an [`OpGen`], cloneable so generators can
+/// share one precomputed distribution.
+#[derive(Debug, Clone)]
+enum Dist {
+    Uniform(Uniform),
+    Zipfian(Zipfian),
+    Latest(Latest),
+}
+
+impl Dist {
+    fn next(&mut self, rng: &mut SmallRng) -> u64 {
+        match self {
+            Dist::Uniform(d) => d.next(rng),
+            Dist::Zipfian(d) => d.next(rng),
+            Dist::Latest(d) => d.next(rng),
+        }
+    }
+}
+
 /// A seeded per-client operation generator.
 pub struct OpGen {
     spec: WorkloadSpec,
-    dist: Box<dyn KeyDist>,
+    dist: Dist,
     rng: SmallRng,
     inserted: u64,
 }
 
 impl OpGen {
     /// Creates a generator for `spec` seeded with `seed`.
+    ///
+    /// Building a zipfian distribution is O(records); for many clients,
+    /// build one generator and [`reseeded`](Self::reseeded) copies of it.
     pub fn new(spec: WorkloadSpec, seed: u64) -> Self {
-        use rand::SeedableRng;
-        let dist: Box<dyn KeyDist> = match spec.dist {
-            DistKind::Uniform => Box::new(Uniform::new(spec.records)),
-            DistKind::Zipfian => Box::new(Zipfian::new(spec.records)),
-            DistKind::Latest => Box::new(Latest::new(spec.records)),
+        let dist = match spec.dist {
+            DistKind::Uniform => Dist::Uniform(Uniform::new(spec.records)),
+            DistKind::Zipfian => Dist::Zipfian(Zipfian::new(spec.records)),
+            DistKind::Latest => Dist::Latest(Latest::new(spec.records)),
         };
+        Self::with_dist(spec, dist, seed)
+    }
+
+    /// A fresh generator for the same workload seeded with `seed`, sharing
+    /// this one's precomputed distribution: it draws exactly what
+    /// `OpGen::new(spec, seed)` would.
+    pub fn reseeded(&self, seed: u64) -> Self {
+        Self::with_dist(self.spec, self.dist.clone(), seed)
+    }
+
+    fn with_dist(spec: WorkloadSpec, dist: Dist, seed: u64) -> Self {
+        use rand::SeedableRng;
         OpGen {
             spec,
             dist,
@@ -201,6 +234,32 @@ mod tests {
         let (_, k1, _) = g.next_op();
         let (_, k2, _) = g.next_op();
         assert_ne!(k1, k2);
+    }
+
+    #[test]
+    fn reseeded_generator_matches_a_fresh_one() {
+        for spec in [
+            WorkloadSpec::update_heavy().with_records(500),
+            WorkloadSpec::ycsb_b().with_records(500),
+            WorkloadSpec {
+                dist: DistKind::Latest,
+                insert_prop: 0.1,
+                read_prop: 0.4,
+                ..WorkloadSpec::ycsb_a().with_records(500)
+            },
+            WorkloadSpec {
+                dist: DistKind::Uniform,
+                ..WorkloadSpec::ycsb_a().with_records(500)
+            },
+        ] {
+            let mut proto = OpGen::new(spec, 1);
+            proto.next_op(); // Draws from the original must not leak into copies.
+            let mut copy = proto.reseeded(77);
+            let mut fresh = OpGen::new(spec, 77);
+            for _ in 0..200 {
+                assert_eq!(copy.next_op(), fresh.next_op());
+            }
+        }
     }
 
     #[test]
