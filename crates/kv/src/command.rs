@@ -1,7 +1,7 @@
 //! KV command and response wire formats.
 
 use bytes::{Bytes, BytesMut};
-use depfast_rpc::wire::{WireRead, WireWrite};
+use depfast_rpc::wire::{WireRead, WireSize, WireWrite};
 
 /// A key-value operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,12 +56,12 @@ impl WireWrite for KvRequest {
         self.key.write(buf);
         self.value.write(buf);
     }
-    fn wire_len(&self) -> usize {
-        self.client.wire_len()
-            + self.seq.wire_len()
-            + self.op.to_u8().wire_len()
-            + self.key.wire_len()
-            + self.value.wire_len()
+    fn wire_size(&self) -> WireSize {
+        self.client.wire_size()
+            + self.seq.wire_size()
+            + self.op.to_u8().wire_size()
+            + self.key.wire_size()
+            + self.value.wire_size()
     }
 }
 
@@ -153,8 +153,8 @@ impl WireWrite for KvResponse {
         self.value.write(buf);
         self.leader_hint.write(buf);
     }
-    fn wire_len(&self) -> usize {
-        self.status.to_u8().wire_len() + self.value.wire_len() + self.leader_hint.wire_len()
+    fn wire_size(&self) -> WireSize {
+        self.status.to_u8().wire_size() + self.value.wire_size() + self.leader_hint.wire_size()
     }
 }
 
@@ -223,8 +223,8 @@ mod tests {
             key: Bytes::from_static(b"k"),
             value: Bytes::new(),
         };
-        let mut enc = BytesMut::from(&r.to_bytes()[..]);
+        let mut enc = r.to_bytes().to_vec();
         enc[16] = 9; // Corrupt the op byte.
-        assert_eq!(KvRequest::from_bytes(&enc.freeze()), None);
+        assert_eq!(KvRequest::from_bytes(&Bytes::from(enc)), None);
     }
 }

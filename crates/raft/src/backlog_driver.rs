@@ -207,12 +207,13 @@ impl BacklogRaft {
                 Coroutine::create(&core.rt.clone(), "raft:backlog_ack", async move {
                     let prev_index = chunk[0].index - 1;
                     c.note_entries_per_append(chunk.len());
+                    let released: u64 = chunk.iter().map(|e| e.size() * opts.amplification).sum();
                     let req = AppendReq {
                         term: c.log.current_term(),
                         leader: c.id.0,
                         prev_index,
                         prev_term: c.log.term_at(prev_index),
-                        entries: to_wire(&chunk),
+                        entries: to_wire(chunk),
                         commit: c.commit.get(),
                         lazy: false,
                     };
@@ -252,7 +253,6 @@ impl BacklogRaft {
                         }
                     }
                     // Chunk acknowledged: release its memory charge.
-                    let released: u64 = chunk.iter().map(|e| e.size() * opts.amplification).sum();
                     let waker = {
                         let mut fq = q.borrow_mut();
                         fq.charged = fq.charged.saturating_sub(released);

@@ -215,7 +215,7 @@ impl CallbackRaft {
             leader: core.id.0,
             prev_index,
             prev_term: core.log.term_at(prev_index),
-            entries: to_wire(&entries),
+            entries: to_wire(entries),
             commit: core.commit.get(),
             lazy: false,
         };

@@ -184,7 +184,7 @@ impl ChainRaft {
                     leader: core.id.0,
                     prev_index: start - 1,
                     prev_term: core.log.term_at(start - 1),
-                    entries: to_wire(&entries),
+                    entries: to_wire(entries),
                     commit: core.commit.get(),
                     lazy: false,
                 };

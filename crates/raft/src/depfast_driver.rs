@@ -124,7 +124,7 @@ impl DepFastRaft {
                 leader: core.id.0,
                 prev_index: lo - 1,
                 prev_term: core.log.term_at(lo - 1),
-                entries: to_wire(&entries),
+                entries: to_wire(entries),
                 commit: core.commit.get(),
                 lazy: false,
             };
@@ -392,7 +392,7 @@ impl DepFastRaft {
                 leader: core.id.0,
                 prev_index: lo - 1,
                 prev_term: core.log.term_at(lo - 1),
-                entries: to_wire(&entries),
+                entries: to_wire(entries),
                 commit: core.commit.get(),
                 lazy: true,
             };

@@ -129,7 +129,7 @@ impl SyncRaft {
                         leader: core.id.0,
                         prev_index: lo - 1,
                         prev_term: core.log.term_at(lo - 1),
-                        entries: to_wire(&to_send),
+                        entries: to_wire(to_send),
                         commit: core.commit.get(),
                         lazy: false,
                     };

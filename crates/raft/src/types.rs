@@ -1,7 +1,9 @@
 //! Raft message types and their wire encodings.
 
+use std::borrow::Cow;
+
 use bytes::{Bytes, BytesMut};
-use depfast_rpc::wire::{WireRead, WireWrite};
+use depfast_rpc::wire::{WireRead, WireSize, WireWrite};
 use depfast_rpc::{wire_struct, Method};
 use depfast_storage::Entry;
 
@@ -28,8 +30,8 @@ impl WireWrite for WireEntry {
         self.0.index.write(buf);
         self.0.payload.write(buf);
     }
-    fn wire_len(&self) -> usize {
-        self.0.term.wire_len() + self.0.index.wire_len() + self.0.payload.wire_len()
+    fn wire_size(&self) -> WireSize {
+        self.0.term.wire_size() + self.0.index.wire_size() + self.0.payload.wire_size()
     }
 }
 
@@ -127,9 +129,15 @@ pub struct VoteResp {
 }
 wire_struct!(VoteResp { term, granted });
 
-/// Converts entries to their wire form.
-pub fn to_wire(entries: &[Entry]) -> Vec<WireEntry> {
-    entries.iter().cloned().map(WireEntry).collect()
+/// Converts entries to their wire form. Owned entries are moved (the
+/// vector's allocation is reused); borrowed ones are cloned.
+pub fn to_wire<'a>(entries: impl Into<Cow<'a, [Entry]>>) -> Vec<WireEntry> {
+    entries
+        .into()
+        .into_owned()
+        .into_iter()
+        .map(WireEntry)
+        .collect()
 }
 
 /// Converts wire entries back to storage entries.
@@ -156,7 +164,7 @@ mod tests {
             leader: 2,
             prev_index: 41,
             prev_term: 6,
-            entries: to_wire(&[entry(42), entry(43)]),
+            entries: to_wire(vec![entry(42), entry(43)]),
             commit: 40,
             lazy: false,
         };
@@ -213,7 +221,7 @@ mod tests {
     #[test]
     fn wire_entries_preserve_payloads() {
         let es = vec![entry(1), entry(2), entry(3)];
-        let wire = to_wire(&es);
-        assert_eq!(from_wire(wire), es);
+        assert_eq!(from_wire(to_wire(&es)), es);
+        assert_eq!(from_wire(to_wire(es.clone())), es);
     }
 }

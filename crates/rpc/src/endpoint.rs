@@ -515,6 +515,49 @@ mod tests {
         assert_eq!((back.rpc_id, back.payload), (9, env.payload));
     }
 
+    #[derive(Debug, PartialEq)]
+    struct Blob {
+        tag: u32,
+        body: Bytes,
+        tail: u16,
+    }
+    crate::wire_struct!(Blob { tag, body, tail });
+
+    /// The envelope's bytes are pinned, with a payload that itself embeds
+    /// a large field; decoding hands back that field's own memory.
+    #[test]
+    fn envelope_encodes_to_the_pinned_bytes() {
+        let body: Vec<u8> = (0..1024u32).map(|i| (i * 31 + 3) as u8).collect();
+        let blob = Blob {
+            tag: 0xabcd,
+            body: Bytes::from(body.clone()),
+            tail: 0x0102,
+        };
+        let env = Envelope {
+            is_reply: false,
+            rpc_id: 5,
+            method: 0x10,
+            trace_id: 77,
+            parent_span: 78,
+            payload: blob.to_bytes(),
+        };
+        let mut golden = vec![0x00]; // is_reply
+        golden.extend_from_slice(&5u64.to_le_bytes()); // rpc_id
+        golden.extend_from_slice(&[0x10, 0, 0, 0]); // method
+        golden.extend_from_slice(&77u64.to_le_bytes()); // trace_id
+        golden.extend_from_slice(&78u64.to_le_bytes()); // parent_span
+        golden.extend_from_slice(&[0x0a, 0x04, 0, 0]); // payload length 1034
+        golden.extend_from_slice(&[0xcd, 0xab, 0, 0, 0x00, 0x04, 0, 0]); // tag, body length
+        golden.extend_from_slice(&body);
+        golden.extend_from_slice(&[0x02, 0x01]); // tail
+        let enc = env.to_bytes();
+        assert_eq!(enc.to_vec(), golden);
+        assert_eq!(enc.len(), env.wire_len());
+        let back = Blob::from_bytes(&Envelope::from_bytes(&enc).unwrap().payload).unwrap();
+        assert_eq!(back, blob);
+        assert_eq!(back.body.as_ptr(), blob.body.as_ptr());
+    }
+
     #[test]
     fn typed_round_trip() {
         let (sim, _world, eps) = cluster(2);

@@ -5,23 +5,89 @@
 //! plain little-endian TLV-free layout: each type writes its fields in a
 //! fixed order. Decoding is fallible (`Option`) — a malformed buffer never
 //! panics.
+//!
+//! Encoding never copies a large payload: each contiguous piece of a
+//! `Bytes` field (one, unless the field is itself an encoded message that
+//! embeds a payload) of at least [`SHARE_MIN`] bytes is appended by
+//! reference. The encoded message shares that memory, and decoding the
+//! field on the receiver returns a view of the same memory. A value
+//! written by a client is thereby held once, however many messages, logs
+//! and stores carry it. The bytes on the wire, and every length, are the
+//! same either way.
+
+use std::iter::Sum;
+use std::ops::Add;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+
+/// Smallest contiguous piece of a `Bytes` field that is encoded by
+/// reference instead of by copy. A shared piece costs a segment entry and
+/// pins the buffer it was cut from; a copy costs its length in every
+/// holder, and less CPU. 256 is above every key, header and
+/// acknowledgement the workloads send and below their 1 KB values
+/// (measurements in docs/PERFORMANCE.md §9).
+pub const SHARE_MIN: usize = 256;
+
+/// Encoded size of a value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WireSize {
+    /// All bytes [`WireWrite::write`] appends.
+    pub total: usize,
+    /// The part of them copied into the encoder's own buffer.
+    pub inline: usize,
+    /// Pieces appended by reference (the bytes not copied).
+    pub pieces: usize,
+}
+
+impl WireSize {
+    /// `n` bytes, all copied.
+    pub const fn copied(n: usize) -> Self {
+        WireSize {
+            total: n,
+            inline: n,
+            pieces: 0,
+        }
+    }
+}
+
+impl Add for WireSize {
+    type Output = WireSize;
+    fn add(self, o: WireSize) -> WireSize {
+        WireSize {
+            total: self.total + o.total,
+            inline: self.inline + o.inline,
+            pieces: self.pieces + o.pieces,
+        }
+    }
+}
+
+impl Sum for WireSize {
+    fn sum<I: Iterator<Item = WireSize>>(iter: I) -> WireSize {
+        iter.fold(WireSize::default(), Add::add)
+    }
+}
 
 /// Types that can serialize themselves onto a buffer.
 pub trait WireWrite {
     /// Appends this value's encoding to `buf`.
     fn write(&self, buf: &mut BytesMut);
 
-    /// The exact number of bytes [`write`](Self::write) appends.
-    fn wire_len(&self) -> usize;
+    /// The exact size of what [`write`](Self::write) appends.
+    fn wire_size(&self) -> WireSize;
 
-    /// Convenience: encodes into a fresh buffer allocated at the final
-    /// size, so encoding never regrows it.
+    /// The exact number of bytes [`write`](Self::write) appends.
+    fn wire_len(&self) -> usize {
+        self.wire_size().total
+    }
+
+    /// Convenience: encodes into a fresh buffer allocated at its final
+    /// size (copied bytes and shared pieces), so encoding never regrows it.
     fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
+        let size = self.wire_size();
+        let mut buf = BytesMut::with_capacity(size.inline);
+        buf.reserve_pieces(size.pieces);
         self.write(&mut buf);
-        debug_assert_eq!(buf.len(), self.wire_len(), "wire_len is not exact");
+        debug_assert_eq!(buf.len(), size.total, "wire_size is not exact");
         buf.freeze()
     }
 }
@@ -49,8 +115,8 @@ macro_rules! wire_uint {
             fn write(&self, buf: &mut BytesMut) {
                 buf.$put(*self);
             }
-            fn wire_len(&self) -> usize {
-                $len
+            fn wire_size(&self) -> WireSize {
+                WireSize::copied($len)
             }
         }
         impl WireRead for $ty {
@@ -73,8 +139,8 @@ impl WireWrite for bool {
     fn write(&self, buf: &mut BytesMut) {
         buf.put_u8(*self as u8);
     }
-    fn wire_len(&self) -> usize {
-        1
+    fn wire_size(&self) -> WireSize {
+        WireSize::copied(1)
     }
 }
 
@@ -88,13 +154,53 @@ impl WireRead for bool {
     }
 }
 
+/// A contiguous piece of at least [`SHARE_MIN`] bytes is appended by
+/// reference, a shorter one is copied (so a nested message's small
+/// headers join the outer buffer instead of adding a segment each).
 impl WireWrite for Bytes {
     fn write(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.len() as u32);
-        buf.put_slice(self);
+        if self.chunk().len() == self.len() {
+            // One piece: the common case, taken without a clone.
+            if self.len() >= SHARE_MIN {
+                buf.put_bytes(self);
+            } else {
+                buf.put_slice(self);
+            }
+            return;
+        }
+        let mut rest = self.clone();
+        while rest.has_remaining() {
+            let n = rest.chunk().len();
+            if n >= SHARE_MIN {
+                buf.put_bytes(&rest.split_to(n));
+            } else {
+                buf.put_slice(rest.chunk());
+                rest.advance(n);
+            }
+        }
     }
-    fn wire_len(&self) -> usize {
-        4 + self.len()
+    fn wire_size(&self) -> WireSize {
+        let mut size = WireSize::copied(4);
+        let mut piece = |n: usize| {
+            size.total += n;
+            if n >= SHARE_MIN {
+                size.pieces += 1;
+            } else {
+                size.inline += n;
+            }
+        };
+        if self.chunk().len() == self.len() {
+            piece(self.len());
+        } else {
+            let mut rest = self.clone();
+            while rest.has_remaining() {
+                let n = rest.chunk().len();
+                piece(n);
+                rest.advance(n);
+            }
+        }
+        size
     }
 }
 
@@ -113,8 +219,8 @@ impl WireWrite for String {
         buf.put_u32_le(self.len() as u32);
         buf.put_slice(self.as_bytes());
     }
-    fn wire_len(&self) -> usize {
-        4 + self.len()
+    fn wire_size(&self) -> WireSize {
+        WireSize::copied(4 + self.len())
     }
 }
 
@@ -132,8 +238,8 @@ impl<T: WireWrite> WireWrite for Vec<T> {
             item.write(buf);
         }
     }
-    fn wire_len(&self) -> usize {
-        4 + self.iter().map(WireWrite::wire_len).sum::<usize>()
+    fn wire_size(&self) -> WireSize {
+        WireSize::copied(4) + self.iter().map(WireWrite::wire_size).sum()
     }
 }
 
@@ -163,8 +269,11 @@ impl<T: WireWrite> WireWrite for Option<T> {
             }
         }
     }
-    fn wire_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, WireWrite::wire_len)
+    fn wire_size(&self) -> WireSize {
+        WireSize::copied(1)
+            + self
+                .as_ref()
+                .map_or(WireSize::default(), WireWrite::wire_size)
     }
 }
 
@@ -206,8 +315,8 @@ macro_rules! wire_struct {
             fn write(&self, buf: &mut bytes::BytesMut) {
                 $(self.$field.write(buf);)+
             }
-            fn wire_len(&self) -> usize {
-                0 $(+ self.$field.wire_len())+
+            fn wire_size(&self) -> $crate::wire::WireSize {
+                $crate::wire::WireSize::default() $(+ self.$field.wire_size())+
             }
         }
         impl $crate::wire::WireRead for $name {
@@ -291,6 +400,34 @@ mod tests {
     fn invalid_bool_rejected() {
         let mut b = Bytes::from_static(&[7]);
         assert!(bool::read(&mut b).is_none());
+    }
+
+    /// A large field is shared, not copied, also when it reaches the
+    /// encoder nested inside an already encoded message; only the short
+    /// pieces around it are copied.
+    #[test]
+    fn large_pieces_are_shared_and_sized_exactly() {
+        let big = Bytes::from(vec![5u8; SHARE_MIN]);
+        let inner = Sample {
+            e: big.clone(),
+            ..sample()
+        };
+        let outer = Sample {
+            e: inner.to_bytes(),
+            ..sample()
+        };
+        for (size, enc) in [
+            (inner.wire_size(), inner.to_bytes()),
+            (outer.wire_size(), outer.to_bytes()),
+        ] {
+            assert_eq!(size.pieces, 1);
+            assert_eq!(size.inline, size.total - SHARE_MIN);
+            assert_eq!(size.total, enc.len());
+        }
+        let back = Sample::from_bytes(&outer.to_bytes()).unwrap();
+        let back = Sample::from_bytes(&back.e).unwrap();
+        assert_eq!(back, inner);
+        assert_eq!(back.e.as_ptr(), big.as_ptr());
     }
 
     #[test]

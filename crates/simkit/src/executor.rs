@@ -187,6 +187,9 @@ struct Core {
     /// Spare buffer `drain_ready` swaps with the woken queue, so a batch
     /// is taken in one lock and no allocation.
     batch: VecDeque<TaskId>,
+    /// Spare buffer for the actions of one timer instant, reused by
+    /// `advance_to_next_timer` for the same reason.
+    fired: Vec<TimerAction>,
     rng: SmallRng,
     /// Total tasks ever spawned, for diagnostics.
     spawned: u64,
@@ -230,6 +233,7 @@ impl Sim {
                 free_tasks: Vec::new(),
                 timers: Timers::default(),
                 batch: VecDeque::new(),
+                fired: Vec::new(),
                 rng: SmallRng::seed_from_u64(seed),
                 spawned: 0,
                 polls: 0,
@@ -494,22 +498,24 @@ impl Sim {
     /// Advances the clock to the earliest timer and fires every timer due
     /// at that instant. Returns `false` if there were no timers.
     fn advance_to_next_timer(&self) -> bool {
-        let mut actions = Vec::new();
-        {
+        let mut actions = {
             let mut core = self.core.borrow_mut();
             let Some(at) = core.timers.next_at() else {
                 return false;
             };
             debug_assert!(at >= core.now, "timer scheduled in the past");
             core.now = core.now.max(at);
+            let mut actions = std::mem::take(&mut core.fired);
             core.timers.pop_due(at, &mut actions);
-        }
-        for action in actions {
+            actions
+        };
+        for action in actions.drain(..) {
             match action {
                 TimerAction::Wake(w) => w.wake(),
                 TimerAction::Call(f) => f(),
             }
         }
+        self.core.borrow_mut().fired = actions;
         true
     }
 }

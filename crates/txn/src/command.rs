@@ -1,7 +1,7 @@
 //! Transaction command and vote wire formats.
 
 use bytes::{Bytes, BytesMut};
-use depfast_rpc::wire::{WireRead, WireWrite};
+use depfast_rpc::wire::{WireRead, WireSize, WireWrite};
 use depfast_rpc::Method;
 
 /// RPC method id for transaction commands (served by `TxnServer`).
@@ -21,8 +21,8 @@ impl WireWrite for TxnWrite {
         self.key.write(buf);
         self.value.write(buf);
     }
-    fn wire_len(&self) -> usize {
-        self.key.wire_len() + self.value.wire_len()
+    fn wire_size(&self) -> WireSize {
+        self.key.wire_size() + self.value.wire_size()
     }
 }
 
@@ -75,12 +75,12 @@ impl WireWrite for TxnCmd {
             }
         }
     }
-    fn wire_len(&self) -> usize {
+    fn wire_size(&self) -> WireSize {
         let body = match self {
-            TxnCmd::Prepare { txn, writes } => txn.wire_len() + writes.wire_len(),
-            TxnCmd::Commit { txn } | TxnCmd::Abort { txn } => txn.wire_len(),
+            TxnCmd::Prepare { txn, writes } => txn.wire_size() + writes.wire_size(),
+            TxnCmd::Commit { txn } | TxnCmd::Abort { txn } => txn.wire_size(),
         };
-        1 + body
+        WireSize::copied(1) + body
     }
 }
 
@@ -122,8 +122,8 @@ impl WireWrite for TxnVote {
         };
         v.write(buf);
     }
-    fn wire_len(&self) -> usize {
-        1
+    fn wire_size(&self) -> WireSize {
+        WireSize::copied(1)
     }
 }
 
